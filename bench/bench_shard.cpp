@@ -271,7 +271,7 @@ ShardRun runShardMode(const std::vector<std::string> &Paths,
   shard::ShardOptions O;
   O.Binaries = Paths;
   O.Shards = Shards;
-  O.CacheDir = CacheDir;
+  O.Base.Cache.Dir = CacheDir;
   O.WorkerExe = HGLIFT_BIN;
   auto T0 = std::chrono::steady_clock::now();
   shard::ShardResult R = shard::runShards(O);
@@ -348,8 +348,8 @@ SkewRun runSkewMode(const std::vector<std::string> &Paths,
   O.Binaries = Paths;
   O.Shards = 4;
   O.WorkStealing = Stealing;
-  O.Library = true;
-  O.CacheDir = CacheDir;
+  O.Base.Library = true;
+  O.Base.Cache.Dir = CacheDir;
   O.WorkerExe = HGLIFT_BIN;
   auto T0 = std::chrono::steady_clock::now();
   shard::ShardResult R = shard::runShards(O);

@@ -226,7 +226,7 @@ int main(int argc, char **argv) {
     }
     for (bool Vsa : {true, false}) {
       hglift::Options O;
-      O.Vsa.Enable = Vsa;
+      O.Lift.Sym.Vsa = Vsa;
       hglift::Session S(BB->Img, O);
       const hg::BinaryResult &R = S.lift();
       (Vsa ? OnA : OffA) += R.totalA();

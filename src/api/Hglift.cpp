@@ -6,11 +6,6 @@ namespace hglift {
 
 Session::Session(const elf::BinaryImage &Img, Options O)
     : Img(Img), Opt(std::move(O)) {
-  // The facade's VSA group is authoritative over the low-level SymConfig:
-  // check() builds its CheckContext from the same stored copy, so Step-1
-  // and Step-2 always resolve with identical configuration.
-  Opt.Lift.Sym.Vsa = Opt.Vsa.Enable;
-  Opt.Lift.Sym.VsaMaxTargets = Opt.Vsa.MaxTargets;
   if (Opt.Cache.Shared) {
     // A host-owned store reused across Sessions: adopt it, and drop any
     // hit-time validations a previous binary left behind — they are keyed
@@ -19,11 +14,7 @@ Session::Session(const elf::BinaryImage &Img, Options O)
     CacheRef->resetValidations();
     Opt.Lift.Cache = CacheRef;
   } else if (!Opt.Cache.Dir.empty()) {
-    store::CacheStore::Options SO;
-    SO.Dir = Opt.Cache.Dir;
-    SO.MaxBytes = Opt.Cache.MaxMB * 1024 * 1024;
-    SO.Validate = Opt.Cache.Validate;
-    Cache = std::make_unique<store::CacheStore>(std::move(SO));
+    Cache = std::make_unique<store::CacheStore>(Opt.Cache.storeOptions());
     CacheRef = Cache.get();
     Opt.Lift.Cache = CacheRef;
   }
@@ -66,6 +57,13 @@ const exporter::CheckResult &Session::check() {
   }
   Checked = true;
   return Check;
+}
+
+driver::ExitCode Session::verdict(bool WithCheck) {
+  bool Proven = !WithCheck || check().allProven();
+  return lift().Outcome == hg::LiftOutcome::Lifted && Proven
+             ? driver::ExitCode::Ok
+             : driver::ExitCode::Fail;
 }
 
 void Session::printReport(std::ostream &OS, bool Verbose) {

@@ -29,6 +29,7 @@
 #ifndef HGLIFT_API_HGLIFT_H
 #define HGLIFT_API_HGLIFT_H
 
+#include "driver/ExitCode.h"
 #include "export/HoareChecker.h"
 #include "hg/Lifter.h"
 #include "store/Store.h"
@@ -42,13 +43,15 @@ namespace hglift {
 
 /// Everything a lift-and-check run can be configured with. Plain data;
 /// copy, fill in, hand to a Session. Related knobs live in nested plain-
-/// data sub-structs (Cache, Witness, Vsa) so call sites read as
-/// `O.Cache.Dir = ...` and new knobs have an obvious home.
+/// data sub-structs (Cache, Witness) so call sites read as
+/// `O.Cache.Dir = ...` and new knobs have an obvious home. `hglift shard`
+/// and `hglift serve` embed one of these (ShardOptions::Base,
+/// ServeOptions::Base), so every lifting flag means the same thing in
+/// every subcommand (driver/Flags.h).
 struct Options {
-  /// Step-1 configuration (threads, fuel, ablations, ...). Options::Lift
-  /// .Cache is managed by the Session when Cache.Dir is set; leave it
-  /// null. Lift.Sym's VSA fields are overwritten from Options::Vsa at
-  /// Session construction — configure VSA through Options::Vsa only.
+  /// Step-1 configuration (threads, fuel, ablations, VSA in Lift.Sym,
+  /// ...). Options::Lift.Cache is managed by the Session when Cache.Dir is
+  /// set; leave it null. Step 2 checks with the same Lift.Sym.
   hg::LiftConfig Lift;
   /// Lift every exported function symbol instead of following calls from
   /// the ELF entry point (shared-object mode, paper §5.1).
@@ -79,6 +82,12 @@ struct Options {
     /// construction (CacheStore::resetValidations) so a previous binary's
     /// proofs can never be merged into this one's report.
     store::CacheStore *Shared = nullptr;
+
+    /// The store configuration Dir, MaxMB and Validate describe.
+    store::CacheStore::Options storeOptions() const {
+      return {Dir, MaxMB * 1024 * 1024, Validate};
+    }
+    bool operator==(const CacheOptions &) const = default;
   };
   CacheOptions Cache;
 
@@ -94,19 +103,11 @@ struct Options {
     std::string Dir;
     /// Max candidate initial states executed per diagnostic site.
     unsigned Budget = 64;
+    bool operator==(const WitnessOptions &) const = default;
   };
   WitnessOptions Witness;
 
-  /// Value-set analysis for indirect jumps/calls (docs/VSA.md).
-  struct VsaOptions {
-    /// Off (`--no-vsa`) reproduces the legacy absolute-jump-table-only
-    /// resolver exactly: unresolvable sites keep today's annotations.
-    bool Enable = true;
-    /// Cap on distinct targets one resolved site may fan out to
-    /// (`--vsa-max-targets`).
-    unsigned MaxTargets = 64;
-  };
-  VsaOptions Vsa;
+  bool operator==(const Options &) const = default;
 };
 
 /// One lift-and-check run over one binary image. Owns the Lifter, the
@@ -131,6 +132,10 @@ public:
   /// to cold. Memoized.
   const exporter::CheckResult &check();
 
+  /// The run's exit code (driver/ExitCode.h): Ok iff the binary lifted
+  /// and, when WithCheck, every Hoare triple proved. Runs check() when
+  /// WithCheck, whatever the lift outcome.
+  driver::ExitCode verdict(bool WithCheck);
   /// Whether check() has run (writeReportJson includes its summary iff so).
   bool checked() const { return Checked; }
   /// The memoized Step-2 result, or null before check().

@@ -23,6 +23,8 @@ struct ExplainOptions {
   std::string FunctionFilter;
   /// Only explain diagnostics at this instruction address. Empty = all.
   std::string AddrFilter;
+
+  bool operator==(const ExplainOptions &) const = default;
 };
 
 /// Render the report at Opts.ReportPath to OS; errors go to ES. Returns a

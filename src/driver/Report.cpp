@@ -4,6 +4,8 @@
 #include "support/Format.h"
 
 #include <cstdio>
+#include <fstream>
+#include <iostream>
 
 namespace hglift::driver {
 
@@ -263,6 +265,21 @@ void writeReportJson(std::ostream &OS, const BinaryResult &R,
     OS << (Witnesses->Records.empty() ? "" : "\n   ") << "]}";
   }
   OS << "\n}\n";
+}
+
+bool writeArtifact(const std::string &Path, const std::string &What,
+                   const std::function<void(std::ostream &)> &Write) {
+  if (Path.empty())
+    return true;
+  std::ofstream Out(Path, std::ios::binary);
+  if (!Out) {
+    std::cerr << "cannot open " << Path << " for writing\n";
+    return false;
+  }
+  Write(Out);
+  if (!What.empty())
+    std::cout << "wrote " << What << " to " << Path << "\n";
+  return true;
 }
 
 } // namespace hglift::driver

@@ -6,7 +6,9 @@
 #include "export/HoareChecker.h"
 #include "hg/Lifter.h"
 
+#include <functional>
 #include <ostream>
+#include <string>
 
 namespace hglift::driver {
 
@@ -36,6 +38,13 @@ void writeStatsJson(std::ostream &OS, const hg::BinaryResult &R);
 void writeReportJson(std::ostream &OS, const hg::BinaryResult &R,
                      const exporter::CheckResult *Check = nullptr,
                      const diag::WitnessSummary *Witnesses = nullptr);
+
+/// Write the artifact at Path, when one is given, through Write and
+/// announce it on stdout as "wrote What to Path" (silently when What is
+/// empty). False, for exit 3 (driver/ExitCode.h), when Path cannot be
+/// opened.
+bool writeArtifact(const std::string &Path, const std::string &What,
+                   const std::function<void(std::ostream &)> &Write);
 
 } // namespace hglift::driver
 

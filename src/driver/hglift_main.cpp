@@ -1,331 +1,72 @@
 //===- hglift_main.cpp - The hglift command-line tool --------------------===//
 //
-// Usage:
-//   hglift <binary.elf> [options]        lift (and optionally check) a binary
-//   hglift lift <binary.elf> [options]   same, explicit subcommand
-//   hglift --lift <binary.elf> [options] same, historical spelling
-//   hglift check <binary.elf> [options]  lift and always run the Step-2
-//                                        checker (equivalent to --check)
-//   hglift explain <report.json> [--function F] [--addr A]
-//                                        render root-cause narratives from a
-//                                        --report-json file
+//   hglift [lift|check] <binary.elf> [options]  lift (and check) a binary
+//   hglift shard <bin.elf>... --cache-dir DIR   multi-process corpus lifting
+//   hglift serve --socket PATH [--client]       lifting daemon, or its client
+//   hglift fuzz [options]                       soundness fuzzing campaign
+//   hglift explain <report.json>                root-cause narratives
 //
-// Lifting options:
-//     --library            lift every exported function symbol instead of
-//                          the entry point (shared-object mode, §5.1)
-//     --check              run the Step-2 Hoare-triple checker
-//     --cache-dir DIR      content-addressed artifact store: cached
-//                          functions skip Step 1 and are re-proven through
-//                          the Step-2 checker instead of being trusted
-//     --cache-max-mb N     byte budget for the store (MiB); exceeding it
-//                          evicts least-recently-used entries (0 = no
-//                          limit, the default)
-//     --no-cache-validate  trust cache hits without Step-2 re-validation
-//                          (faster, but forfeits the soundness story;
-//                          see docs/CLI.md)
-//     --export-isabelle F  write the Isabelle/HOL theory to F
-//     --export-dot F       write the Hoare Graphs as Graphviz dot to F
-//     --dump-hg            print the full Hoare Graph
-//     --no-join            ablation: disable state joining
-//     --destroy-always     ablation: no alias/separation branching
-//     --no-hotpath-cache   ablation: disable the relation-query cache and
-//                          the leq memo
-//     --lifo-worklist      ablation: historical LIFO exploration order
-//                          instead of the address-ordered worklist
-//     --no-solver-portfolio ablation: single-tier relation solving (fresh
-//                          Z3 solver per residual query) instead of the
-//                          tiered portfolio (smt/RelationSolver.h)
-//     --no-vsa             ablation: disable the value-set analysis for
-//                          indirect jumps/calls (docs/VSA.md); unresolved
-//                          sites keep the legacy unsoundness annotations
-//     --vsa-max-targets N  cap on distinct targets one VSA-resolved site
-//                          may fan out to (default 64)
-//     --max-seconds N      per-function wall budget (default 60)
-//     --threads N          worker threads for lifting and the Step-2 check
-//                          (0 = hardware, default 1); results are identical
-//                          for every value
-//     --stats-json F       write lifting statistics (per-function vertices,
-//                          joins, solver calls, cache hit/miss counts, leq
-//                          memo counts, wall time) as JSON to F
-//     --report-json F      write the machine-readable verification report
-//                          (structured diagnostics with provenance; bytes
-//                          identical for every --threads value and for
-//                          warm vs cold --cache-dir runs) to F
-//     --trace F            stream structured trace events (lift spans,
-//                          fixpoint iterations, solver calls, Step-2 edge
-//                          checks) as JSON Lines to F
-//     --witness-dir DIR    incorrectness witnesses (docs/WITNESSES.md):
-//                          search every VerificationError and unsoundness
-//                          annotation for a concrete counterexample state,
-//                          write confirmed witnesses to DIR as replayable
-//                          fuzz_repro_witness_* sidecars, and add the
-//                          `witnesses` section to --report-json
-//     --witness-budget N   candidate initial states per diagnostic site
-//                          for the witness search (default 64)
-//     --mutant NAME        plant the named fuzz-registry semantics mutant
-//                          during lifting (and during --check when its
-//                          scope is Both); regression fixture for the
-//                          witness pipeline — see docs/WITNESSES.md
-//
-// Sharded corpus lifting (see docs/SHARDING.md):
-//   hglift shard <bin1.elf> <bin2.elf> ... --cache-dir DIR [--shards N|auto]
-//               [--no-work-stealing] [--steal-granularity binary|function]
-//               [--progress] [--check] [--library] [--no-solver-portfolio]
-//               [--cache-max-mb N] [--no-cache-validate] [--max-seconds N]
-//               [--report-json FILE] [--stats-json FILE]
-//   (--shard-worker-fds G,R is the internal worker mode the parent spawns:
-//   the worker claims units over the grant/request pipes. The merged
-//   report is byte-identical to a --shards 1 serial run under any worker
-//   count and steal order.)
-//
-// Persistent lifting service (see docs/SERVE.md):
-//   hglift serve --socket PATH [--tcp-port N] [--threads N] [--max-queue N]
-//               [--memo-max N] [--retry-after-ms N] [--cache-dir DIR]
-//               [--cache-max-mb N] [--no-cache-validate] [--max-seconds N]
-//               [--max-insns N]
-//   (daemon: JSONL lift/check/explain/metrics/shutdown requests over the
-//   socket, warm per-worker artifact stores, bounded-queue admission
-//   control, SIGTERM drain. --client submits one request and streams the
-//   response; the report payload is byte-identical to --report-json.)
-//
-// Fuzzing (see docs/FUZZING.md):
-//   hglift fuzz [--seed S] [--runs N] [--max-insns K] [--mutate-semantics]
-//               [--mutants a,b] [--fuzz-json FILE] [--repro-dir DIR]
-//               [--reduce-mutant NAME] [--replay FILE] [--budget-seconds N]
-//               [--oracle-runs N]
-//   (--replay dispatches on the sidecar's "kind" field: campaign
-//   reproducers and incorrectness witnesses replay through the same flag.)
-//
-// Exit codes follow one table for every subcommand (driver/ExitCode.h):
-// 0 = claim holds, 1 = analysis rejected the input, 2 = bad invocation,
-// 3 = artifact not writable. All JSON payloads are documented field by
-// field in docs/CLI.md.
+// Every flag is a row of the flag table (driver/Flags.h), which also
+// generates the usage text: `hglift` without arguments prints it all.
+// This file only dispatches the parsed CommandLine. Exit codes follow one
+// table for every subcommand (driver/ExitCode.h): 0 = claim holds, 1 =
+// analysis rejected the input, 2 = bad invocation, 3 = artifact not
+// writable. docs/CLI.md documents every flag and JSON payload.
 //
 //===----------------------------------------------------------------------===//
 
 #include "api/Hglift.h"
 #include "diag/Trace.h"
-#include "serve/Serve.h"
-#include "shard/Shard.h"
-#include "driver/Explain.h"
 #include "driver/ExitCode.h"
+#include "driver/Flags.h"
+#include "driver/Report.h"
 #include "elf/ElfReader.h"
 #include "export/DotExport.h"
 #include "export/IsabelleExport.h"
-#include "fuzz/Campaign.h"
-#include "fuzz/Mutants.h"
 #include "support/Format.h"
 #include "witness/Witness.h"
 
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 
 using namespace hglift;
+using driver::CommandLine;
 using driver::ExitCode;
 using driver::toExit;
+using driver::writeArtifact;
 
 namespace {
 
-void printUsage(std::ostream &OS) {
-  OS << "usage: hglift [lift] <binary.elf> [--library] [--check] "
-        "[--cache-dir DIR] [--cache-max-mb N] [--no-cache-validate] "
-        "[--export-isabelle FILE] [--export-dot FILE] [--dump-hg] "
-        "[--no-join] [--destroy-always] [--no-hotpath-cache] "
-        "[--lifo-worklist] [--max-seconds N] [--threads N] "
-        "[--stats-json FILE] [--report-json FILE] [--trace FILE] "
-        "[--witness-dir DIR] [--witness-budget N] [--no-vsa] "
-        "[--vsa-max-targets N] [--mutant NAME]\n"
-        "       hglift check <binary.elf> [options]   (implies --check)\n"
-        "       hglift shard <bin1.elf> <bin2.elf> ... --cache-dir DIR "
-        "[--shards N|auto] [--no-work-stealing] "
-        "[--steal-granularity binary|function] [--progress] [--check] "
-        "[--library] [--no-solver-portfolio] [--cache-max-mb N] "
-        "[--no-cache-validate] [--max-seconds N] [--report-json FILE] "
-        "[--stats-json FILE]\n"
-        "       hglift explain <report.json> [--function F] [--addr A]\n"
-        "       hglift serve --socket PATH [--tcp-port N] [--threads N] "
-        "[--max-queue N] [--memo-max N] [--retry-after-ms N] "
-        "[--cache-dir DIR] [--cache-max-mb N] [--no-cache-validate] "
-        "[--max-seconds N] [--max-insns N]   (daemon; see docs/SERVE.md)\n"
-        "       hglift serve --socket PATH --client [--op "
-        "lift|check|explain|metrics|shutdown] [FILE] [--library] "
-        "[--max-seconds N] [--max-insns N] [--function F] [--addr A] "
-        "[--report-out FILE]\n"
-        "       hglift fuzz [--seed S] [--runs N] [--max-insns K] "
-        "[--mutate-semantics] [--mutants a,b] [--fuzz-json FILE] "
-        "[--repro-dir DIR] [--reduce-mutant NAME] [--replay FILE] "
-        "[--budget-seconds N] [--oracle-runs N]\n";
-}
+int fuzzMain(const CommandLine &CL) {
+  if (!CL.Replay.empty())
+    return witness::replayAny(CL.Replay, std::cout);
 
-int fuzzMain(int argc, char **argv) {
-  fuzz::FuzzOptions Opts;
-  std::string Replay;
-  for (int I = 2; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--seed" && I + 1 < argc)
-      Opts.Seed = std::strtoull(argv[++I], nullptr, 0);
-    else if (A == "--runs" && I + 1 < argc)
-      Opts.Runs = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A == "--max-insns" && I + 1 < argc)
-      Opts.MaxInsns = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A == "--mutate-semantics")
-      Opts.MutateSemantics = true;
-    else if (A == "--mutants" && I + 1 < argc) {
-      std::string List = argv[++I];
-      size_t Pos = 0;
-      while (Pos <= List.size()) {
-        size_t Comma = List.find(',', Pos);
-        if (Comma == std::string::npos)
-          Comma = List.size();
-        if (Comma > Pos)
-          Opts.MutantFilter.push_back(List.substr(Pos, Comma - Pos));
-        Pos = Comma + 1;
-      }
-    } else if (A == "--fuzz-json" && I + 1 < argc)
-      Opts.JsonPath = argv[++I];
-    else if (A == "--repro-dir" && I + 1 < argc)
-      Opts.ReproDir = argv[++I];
-    else if (A == "--reduce-mutant" && I + 1 < argc)
-      Opts.ReduceMutant = argv[++I];
-    else if (A == "--budget-seconds" && I + 1 < argc)
-      Opts.BudgetSeconds = std::atof(argv[++I]);
-    else if (A == "--oracle-runs" && I + 1 < argc)
-      Opts.OracleRuns = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A == "--replay" && I + 1 < argc)
-      Replay = argv[++I];
-    else {
-      std::cerr << "fuzz: unknown option: " << A << "\n";
-      printUsage(std::cerr);
-      return toExit(ExitCode::Usage);
-    }
-  }
-
-  if (!Replay.empty())
-    return witness::replayAny(Replay, std::cout);
-
-  fuzz::CampaignResult R = fuzz::runCampaign(Opts, std::cout);
+  fuzz::CampaignResult R = fuzz::runCampaign(CL.Fuzz, std::cout);
   if (!R.Error.empty()) {
     std::cerr << "fuzz: " << R.Error << "\n";
     return toExit(ExitCode::Usage);
   }
-  if (!Opts.JsonPath.empty()) {
-    std::ofstream Out(Opts.JsonPath);
-    if (!Out) {
-      std::cerr << "cannot open " << Opts.JsonPath << " for writing\n";
-      return toExit(ExitCode::Io);
-    }
-    fuzz::writeFuzzJson(Out, Opts, R);
-    std::cout << "wrote fuzz report to " << Opts.JsonPath << "\n";
-  }
+  if (!writeArtifact(CL.Fuzz.JsonPath, "fuzz report", [&](std::ostream &OS) {
+        fuzz::writeFuzzJson(OS, CL.Fuzz, R);
+      }))
+    return toExit(ExitCode::Io);
   return toExit(R.success() ? ExitCode::Ok : ExitCode::Fail);
-}
-
-int explainMain(int argc, char **argv) {
-  driver::ExplainOptions Opts;
-  for (int I = 2; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--function" && I + 1 < argc)
-      Opts.FunctionFilter = argv[++I];
-    else if (A == "--addr" && I + 1 < argc)
-      Opts.AddrFilter = argv[++I];
-    else if (Opts.ReportPath.empty() && !A.empty() && A[0] != '-')
-      Opts.ReportPath = A;
-    else {
-      std::cerr << "explain: unknown option: " << A << "\n";
-      printUsage(std::cerr);
-      return toExit(ExitCode::Usage);
-    }
-  }
-  if (Opts.ReportPath.empty()) {
-    std::cerr << "explain: no report file given\n";
-    printUsage(std::cerr);
-    return toExit(ExitCode::Usage);
-  }
-  return driver::runExplain(Opts, std::cout, std::cerr);
 }
 
 /// `hglift shard`: multi-process corpus lifting (shard/Shard.h). The same
 /// entry also hosts the internal worker mode — `--shard-worker-fds G,R`
 /// claims work units over the grant/request pipe pair until told BYE.
-int shardMain(int argc, char **argv) {
-  shard::ShardOptions Opt;
-  std::string WorkerFds, ReportJsonOut, StatsJsonOut;
-  for (int I = 2; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--shards" && I + 1 < argc) {
-      std::string V = argv[++I];
-      if (V == "auto") {
-        Opt.AutoShards = true;
-      } else {
-        Opt.Shards = static_cast<unsigned>(std::atoi(V.c_str()));
-        Opt.AutoShards = false;
-      }
-    } else if (A == "--shard-worker-fds" && I + 1 < argc)
-      WorkerFds = argv[++I];
-    else if (A == "--no-work-stealing")
-      Opt.WorkStealing = false;
-    else if (A == "--steal-granularity" && I + 1 < argc) {
-      std::string V = argv[++I];
-      if (V == "binary")
-        Opt.Granularity = shard::StealGranularity::Binary;
-      else if (V == "function")
-        Opt.Granularity = shard::StealGranularity::Function;
-      else {
-        std::cerr << "shard: bad --steal-granularity (binary|function): " << V
-                  << "\n";
-        return toExit(ExitCode::Usage);
-      }
-    } else if (A == "--progress")
-      Opt.Progress = true;
-    else if (A == "--cache-dir" && I + 1 < argc)
-      Opt.CacheDir = argv[++I];
-    else if (A == "--cache-max-mb" && I + 1 < argc)
-      Opt.CacheMaxMB = std::strtoull(argv[++I], nullptr, 0);
-    else if (A == "--no-cache-validate")
-      Opt.CacheValidate = false;
-    else if (A == "--check")
-      Opt.Check = true;
-    else if (A == "--library")
-      Opt.Library = true;
-    else if (A == "--no-solver-portfolio")
-      Opt.Portfolio = false;
-    else if (A == "--max-seconds" && I + 1 < argc)
-      Opt.MaxSeconds = std::atof(argv[++I]);
-    else if (A == "--report-json" && I + 1 < argc)
-      ReportJsonOut = argv[++I];
-    else if (A == "--stats-json" && I + 1 < argc)
-      StatsJsonOut = argv[++I];
-    else if (!A.empty() && A[0] != '-')
-      Opt.Binaries.push_back(A);
-    else {
-      std::cerr << "shard: unknown option: " << A << "\n";
-      printUsage(std::cerr);
-      return toExit(ExitCode::Usage);
-    }
-  }
-
-  if (!WorkerFds.empty()) {
-    int GrantFd = -1, RequestFd = -1;
-    if (std::sscanf(WorkerFds.c_str(), "%d,%d", &GrantFd, &RequestFd) != 2 ||
-        GrantFd < 0 || RequestFd < 0) {
-      std::cerr << "shard: bad --shard-worker-fds: " << WorkerFds << "\n";
-      return toExit(ExitCode::Usage);
-    }
-    return shard::runWorkerLoop(Opt, GrantFd, RequestFd);
-  }
+int shardMain(const CommandLine &CL) {
+  const shard::ShardOptions &Opt = CL.Shard;
+  if (CL.WorkerFds.first >= 0)
+    return shard::runWorkerLoop(Opt, CL.WorkerFds.first, CL.WorkerFds.second);
 
   shard::ShardResult R = shard::runShards(Opt);
-  if (!StatsJsonOut.empty()) {
-    std::ofstream Out(StatsJsonOut, std::ios::binary);
-    if (!Out) {
-      std::cerr << "cannot open " << StatsJsonOut << " for writing\n";
-      return toExit(ExitCode::Io);
-    }
-    shard::writeShardStatsJson(Out, Opt, R);
-  }
+  if (!writeArtifact(CL.StatsJson, "", [&](std::ostream &OS) {
+        shard::writeShardStatsJson(OS, Opt, R);
+      }))
+    return toExit(ExitCode::Io);
   if (!R.Ok) {
     std::cerr << "shard: " << R.Error << "\n";
     return R.Exit;
@@ -335,84 +76,17 @@ int shardMain(int argc, char **argv) {
             << " worker(s) spawned, " << R.WorkersCrashed << " crashed, "
             << R.WorkersRetried << " retried, " << R.Sched.Steals
             << " stolen unit(s)\n";
-  if (!ReportJsonOut.empty()) {
-    std::ofstream Out(ReportJsonOut, std::ios::binary);
-    if (!Out) {
-      std::cerr << "cannot open " << ReportJsonOut << " for writing\n";
-      return toExit(ExitCode::Io);
-    }
-    Out << R.MergedReport;
-    std::cout << "wrote merged report to " << ReportJsonOut << "\n";
-  } else {
+  if (CL.ReportJson.empty())
     std::cout << R.MergedReport;
-  }
+  else if (!writeArtifact(CL.ReportJson, "merged report",
+                          [&](std::ostream &OS) { OS << R.MergedReport; }))
+    return toExit(ExitCode::Io);
   return R.Exit;
 }
 
-int liftMain(int argc, char **argv, int ArgStart, bool Check) {
-  std::string Path = argv[ArgStart];
-  bool DumpHG = false;
-  std::string IsabelleOut, DotOut, StatsJsonOut, ReportJsonOut, TraceOut;
-  const fuzz::Mutant *Mut = nullptr;
-  Options Opt;
-  for (int I = ArgStart + 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--library")
-      Opt.Library = true;
-    else if (A == "--check")
-      Check = true;
-    else if (A == "--dump-hg")
-      DumpHG = true;
-    else if (A == "--no-join")
-      Opt.Lift.EnableJoin = false;
-    else if (A == "--destroy-always")
-      Opt.Lift.Sym.Policy = mem::UnknownPolicy::DestroyAlways;
-    else if (A == "--no-hotpath-cache") {
-      Opt.Lift.Solver.EnableCache = false;
-      Opt.Lift.LeqMemo = false;
-    } else if (A == "--lifo-worklist")
-      Opt.Lift.OrderedWorklist = false;
-    else if (A == "--no-solver-portfolio")
-      Opt.Lift.Solver.Portfolio = false;
-    else if (A == "--no-vsa")
-      Opt.Vsa.Enable = false;
-    else if (A == "--vsa-max-targets" && I + 1 < argc)
-      Opt.Vsa.MaxTargets = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A == "--cache-dir" && I + 1 < argc)
-      Opt.Cache.Dir = argv[++I];
-    else if (A == "--cache-max-mb" && I + 1 < argc)
-      Opt.Cache.MaxMB = std::strtoull(argv[++I], nullptr, 0);
-    else if (A == "--no-cache-validate")
-      Opt.Cache.Validate = false;
-    else if (A == "--export-isabelle" && I + 1 < argc)
-      IsabelleOut = argv[++I];
-    else if (A == "--export-dot" && I + 1 < argc)
-      DotOut = argv[++I];
-    else if (A == "--max-seconds" && I + 1 < argc)
-      Opt.Lift.MaxSeconds = std::atof(argv[++I]);
-    else if (A == "--threads" && I + 1 < argc)
-      Opt.Lift.Threads = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A == "--stats-json" && I + 1 < argc)
-      StatsJsonOut = argv[++I];
-    else if (A == "--report-json" && I + 1 < argc)
-      ReportJsonOut = argv[++I];
-    else if (A == "--trace" && I + 1 < argc)
-      TraceOut = argv[++I];
-    else if (A == "--witness-dir" && I + 1 < argc)
-      Opt.Witness.Dir = argv[++I];
-    else if (A == "--witness-budget" && I + 1 < argc)
-      Opt.Witness.Budget = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A == "--mutant" && I + 1 < argc) {
-      Mut = fuzz::findMutant(argv[++I]);
-      if (!Mut) {
-        std::cerr << "unknown mutant: " << argv[I] << "\n";
-        return toExit(ExitCode::Usage);
-      }
-    } else {
-      std::cerr << "unknown option: " << A << "\n";
-      return toExit(ExitCode::Usage);
-    }
-  }
+int liftMain(const CommandLine &CL) {
+  const std::string &Path = CL.Binary;
+  const Options &Opt = CL.Opt;
 
   // The tracer must outlive lifting AND checking; installing it before the
   // session is created also captures arena setup. Scope ends before the
@@ -420,10 +94,10 @@ int liftMain(int argc, char **argv, int ArgStart, bool Check) {
   std::unique_ptr<std::ofstream> TraceFile;
   std::unique_ptr<diag::Tracer> Tracer;
   std::unique_ptr<diag::TracerScope> TracerInstall;
-  if (!TraceOut.empty()) {
-    TraceFile = std::make_unique<std::ofstream>(TraceOut);
+  if (!CL.Trace.empty()) {
+    TraceFile = std::make_unique<std::ofstream>(CL.Trace);
     if (!*TraceFile) {
-      std::cerr << "cannot open " << TraceOut << " for writing\n";
+      std::cerr << "cannot open " << CL.Trace << " for writing\n";
       return toExit(ExitCode::Io);
     }
     Tracer = std::make_unique<diag::Tracer>(*TraceFile, Path);
@@ -437,34 +111,28 @@ int liftMain(int argc, char **argv, int ArgStart, bool Check) {
   }
 
   Session S(*Img, Opt);
-  if (Mut) {
+  if (CL.Mutant) {
     // Plant the deliberately-wrong semantics during lifting (and during
     // the Step-2 check too when the mutant corrupts both layers), then
     // restore clean semantics: the witness search and the oracle are the
     // judges and must run the true machine.
-    fuzz::MutantInstall MI(*Mut);
+    fuzz::MutantInstall MI(*CL.Mutant);
     S.lift();
-    if (Mut->Scope == fuzz::MutantScope::Both && Check)
+    if (CL.Mutant->Scope == fuzz::MutantScope::Both && CL.Check)
       S.check();
   }
   const hg::BinaryResult &R = S.lift();
-  S.printReport(std::cout, DumpHG);
+  S.printReport(std::cout, CL.DumpHG);
   if (std::optional<store::CacheStats> CS = S.cacheStats())
     std::cout << "cache: " << CS->Hits << " hits, " << CS->Misses
               << " misses, " << CS->Stored << " stored, " << CS->Validated
               << " revalidated, " << CS->Evictions << " evicted\n";
 
-  if (!StatsJsonOut.empty()) {
-    std::ofstream Out(StatsJsonOut);
-    if (!Out) {
-      std::cerr << "cannot open " << StatsJsonOut << " for writing\n";
-      return toExit(ExitCode::Io);
-    }
-    S.writeStatsJson(Out);
-    std::cout << "wrote lifting stats to " << StatsJsonOut << "\n";
-  }
+  if (!writeArtifact(CL.StatsJson, "lifting stats",
+                     [&](std::ostream &OS) { S.writeStatsJson(OS); }))
+    return toExit(ExitCode::Io);
 
-  if (Check) {
+  if (CL.Check) {
     const exporter::CheckResult &C = S.check();
     std::cout << "step 2: " << C.Proven << "/" << C.Theorems
               << " Hoare triples proven\n";
@@ -488,15 +156,9 @@ int liftMain(int argc, char **argv, int ArgStart, bool Check) {
                   << (Rec.Replayed ? " (replayed)" : "") << "\n";
   }
 
-  if (!ReportJsonOut.empty()) {
-    std::ofstream Out(ReportJsonOut);
-    if (!Out) {
-      std::cerr << "cannot open " << ReportJsonOut << " for writing\n";
-      return toExit(ExitCode::Io);
-    }
-    S.writeReportJson(Out);
-    std::cout << "wrote verification report to " << ReportJsonOut << "\n";
-  }
+  if (!writeArtifact(CL.ReportJson, "verification report",
+                     [&](std::ostream &OS) { S.writeReportJson(OS); }))
+    return toExit(ExitCode::Io);
 
   // Flush the trace before the exporters (they are untraced anyway) so a
   // crash in them still leaves a complete, well-formed trace file.
@@ -504,60 +166,47 @@ int liftMain(int argc, char **argv, int ArgStart, bool Check) {
   Tracer.reset();
   TraceFile.reset();
 
-  if (!IsabelleOut.empty()) {
+  if (!CL.IsabelleOut.empty()) {
     exporter::IsabelleOptions Opts;
     Opts.TheoryName = R.Name.empty() ? "lifted_binary" : R.Name;
     size_t Lemmas = 0;
     std::string Thy =
         exporter::exportBinary(S.scratchContext(), R, Opts, &Lemmas);
-    std::ofstream Out(IsabelleOut);
-    Out << Thy;
-    std::cout << "wrote " << Lemmas << " Hoare-triple lemmas to "
-              << IsabelleOut << "\n";
+    if (!writeArtifact(CL.IsabelleOut,
+                       std::to_string(Lemmas) + " Hoare-triple lemmas",
+                       [&](std::ostream &OS) { OS << Thy; }))
+      return toExit(ExitCode::Io);
   }
-
-  if (!DotOut.empty()) {
-    std::ofstream Out(DotOut);
-    Out << exporter::exportDotBinary(S.scratchContext(), R);
-    std::cout << "wrote Graphviz graph to " << DotOut << "\n";
-  }
-
-  if (Check && !S.check().allProven())
-    return toExit(ExitCode::Fail);
-  return toExit(R.Outcome == hg::LiftOutcome::Lifted ? ExitCode::Ok
-                                                     : ExitCode::Fail);
+  if (!writeArtifact(CL.DotOut, "Graphviz graph", [&](std::ostream &OS) {
+        OS << exporter::exportDotBinary(S.scratchContext(), R);
+      }))
+    return toExit(ExitCode::Io);
+  return toExit(S.verdict(CL.Check));
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  if (argc < 2) {
-    printUsage(std::cerr);
+  CommandLine CL;
+  if (!driver::parseCommandLine(argc, argv, CL, std::cerr)) {
+    // Bare `hglift` gets every subcommand's usage.
+    driver::printUsage(std::cerr, argc > 1 ? std::optional(CL.Cmd)
+                                           : std::nullopt);
     return toExit(ExitCode::Usage);
   }
-
-  std::string First = argv[1];
-  if (First == "explain")
-    return explainMain(argc, argv);
-  if (First == "fuzz")
-    return fuzzMain(argc, argv);
-  if (First == "shard")
-    return shardMain(argc, argv);
-  if (First == "serve") {
-    serve::ServeOptions SO;
-    if (!serve::parseServeArgs(argc, argv, SO, std::cerr)) {
-      printUsage(std::cerr);
-      return toExit(ExitCode::Usage);
-    }
-    return SO.Client ? serve::runServeClient(SO, std::cout, std::cerr)
-                     : serve::runServe(SO, std::cout, std::cerr);
+  switch (CL.Cmd) {
+  case driver::Command::Lift:
+    return liftMain(CL);
+  case driver::Command::Shard:
+    return shardMain(CL);
+  case driver::Command::Serve:
+    if (CL.Serve.Client)
+      return serve::runServeClient(CL.Serve, CL.Explain, std::cout, std::cerr);
+    return serve::runServe(CL.Serve, std::cout, std::cerr);
+  case driver::Command::Fuzz:
+    return fuzzMain(CL);
+  case driver::Command::Explain:
+    return driver::runExplain(CL.Explain, std::cout, std::cerr);
   }
-  if (First == "lift" || First == "check" || First == "--lift") {
-    if (argc < 3) {
-      printUsage(std::cerr);
-      return toExit(ExitCode::Usage);
-    }
-    return liftMain(argc, argv, 2, /*Check=*/First == "check");
-  }
-  return liftMain(argc, argv, 1, /*Check=*/false);
+  return toExit(ExitCode::Usage);
 }

@@ -42,6 +42,8 @@ struct FuzzOptions {
                               ///< loop (0 = exactly Runs runs)
   unsigned OracleRuns = 3;    ///< --oracle-runs: concrete walks/function
   unsigned MutantProbes = 16; ///< max probe binaries per mutant
+
+  bool operator==(const FuzzOptions &) const = default;
 };
 
 /// One fuzzing run (one synthesized binary through the full pipeline).

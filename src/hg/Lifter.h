@@ -83,6 +83,7 @@ struct LiftConfig {
   /// Not part of the result semantics: a correct cache is observably
   /// invisible (hits are Step-2-revalidated by the implementation).
   FunctionCache *Cache = nullptr;
+  bool operator==(const LiftConfig &) const = default;
 };
 
 /// Everything one function lift allocates from: the hash-consing expression

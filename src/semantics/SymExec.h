@@ -107,6 +107,7 @@ struct SymConfig {
   bool Vsa = true;
   /// Cap on distinct targets one VSA-resolved site may fan out to.
   unsigned VsaMaxTargets = 64;
+  bool operator==(const SymConfig &) const = default;
 };
 
 /// Test-only semantics-mutation hook (mutation testing of the verifier,

@@ -18,10 +18,9 @@
 
 #include "serve/Serve.h"
 
-#include "api/Hglift.h"
 #include "diag/Json.h"
 #include "driver/ExitCode.h"
-#include "driver/Explain.h"
+#include "driver/Report.h"
 #include "elf/ElfReader.h"
 #include "shard/LineProto.h"
 #include "witness/Witness.h"
@@ -162,10 +161,8 @@ struct Request {
   std::string Op; // lift | check | explain
   std::string File;
   std::string ReportText; // explain: inline report document
-  bool Library = false;
-  double MaxSeconds = 0;  // 0 = server default
-  uint64_t MaxInsns = 0;  // 0 = server default
-  std::string FunctionFilter, AddrFilter;
+  Options Opt; // lift/check: the daemon's Base under the request's fields
+  driver::ExplainOptions Filter; // explain: `function` and `addr`
 };
 
 struct Job {
@@ -296,11 +293,8 @@ void processJob(Server &S, store::CacheStore *Store, Job &J) {
   const Request &R = J.R;
 
   if (R.Op == "explain") {
-    driver::ExplainOptions EO;
-    EO.FunctionFilter = R.FunctionFilter;
-    EO.AddrFilter = R.AddrFilter;
     std::ostringstream Out, Err;
-    int Exit = driver::runExplainText(R.ReportText, EO, Out, Err,
+    int Exit = driver::runExplainText(R.ReportText, R.Filter, Out, Err,
                                       "request `" + R.Id + "`");
     if (Exit != 0) {
       std::string E = Err.str();
@@ -325,22 +319,14 @@ void processJob(Server &S, store::CacheStore *Store, Job &J) {
     return;
   }
 
-  // Request budgets may lower the server caps, never raise them.
-  double MaxSec = S.Opt.MaxSeconds;
-  if (R.MaxSeconds > 0)
-    MaxSec = std::min(MaxSec, R.MaxSeconds);
-  uint64_t MaxInsns = S.Opt.MaxInsns;
-  if (R.MaxInsns > 0)
-    MaxInsns = MaxInsns ? std::min(MaxInsns, R.MaxInsns) : R.MaxInsns;
-
   // Whole-file dedup: keyed by content digest plus everything that can
   // change the payload. A hit replays the memoized result under this
   // request's id — no ELF parse, no store lookup, no lift.
   std::string Key;
   {
     std::ostringstream K;
-    K << std::hex << fnv64(*Bytes) << '|' << R.Op << '|' << R.Library << '|'
-      << MaxSec << '|' << MaxInsns;
+    K << std::hex << fnv64(*Bytes) << '|' << R.Op << '|' << R.Opt.Library
+      << '|' << R.Opt.Lift.MaxSeconds << '|' << R.Opt.Lift.MaxVertices;
     Key = K.str();
   }
   if (S.Opt.MemoMax > 0) {
@@ -366,25 +352,17 @@ void processJob(Server &S, store::CacheStore *Store, Job &J) {
     return;
   }
 
-  Options SO;
-  SO.Library = R.Library;
-  SO.Lift.MaxSeconds = MaxSec;
-  if (MaxInsns > 0)
-    SO.Lift.MaxVertices = MaxInsns;
+  Options SO = R.Opt;
   SO.Cache.Shared = Store; // null when no --cache-dir
-  SO.Witness.Dir = S.Opt.WitnessDir;
-  SO.Witness.Budget = S.Opt.WitnessBudget;
 
   std::chrono::steady_clock::time_point T0 = std::chrono::steady_clock::now();
   Session Sess(*Img, SO);
-  const hg::BinaryResult &LR = Sess.lift();
-  bool Proven = true;
-  if (R.Op == "check")
-    Proven = Sess.check().allProven();
+  // Same exit-code table as the CLI (driver/ExitCode.h).
+  int Exit = toExit(Sess.verdict(R.Op == "check"));
   // Same witness search a CLI `check --witness-dir` run performs, so the
   // report payload below stays byte-identical to the CLI's report file.
   const diag::WitnessSummary *Wit = nullptr;
-  if (R.Op == "check" && !S.Opt.WitnessDir.empty())
+  if (R.Op == "check" && !SO.Witness.Dir.empty())
     Wit = &witness::attachWitnesses(Sess, &*Bytes);
   std::ostringstream Rep;
   Sess.writeReportJson(Rep);
@@ -396,15 +374,10 @@ void processJob(Server &S, store::CacheStore *Store, Job &J) {
     S.LiftMs.push_back(Ms);
   }
 
-  // Same exit-code table as the CLI (driver/ExitCode.h): Ok iff the binary
-  // lifted and (for check) every Hoare triple proved.
-  int Exit = toExit(LR.Outcome == hg::LiftOutcome::Lifted && Proven
-                        ? ExitCode::Ok
-                        : ExitCode::Fail);
   std::string Payload = ",\"op\":\"" + R.Op + "\"";
   Payload += ",\"exit\":" + std::to_string(Exit);
   Payload += ",\"outcome\":\"";
-  Payload += hg::liftOutcomeName(LR.Outcome);
+  Payload += hg::liftOutcomeName(Sess.lift().Outcome);
   Payload += "\"";
   if (Wit) {
     Payload += ",\"witnesses_confirmed\":" + std::to_string(Wit->Confirmed);
@@ -472,12 +445,20 @@ void connLoop(Server &S, std::shared_ptr<Conn> C) {
     R.Op = D->str("op");
     R.File = D->str("file");
     R.ReportText = D->str("report");
+    R.Opt = S.Opt.Base;
+    R.Opt.Lift.Threads = 1; // the pool, not the Session, is the parallelism
     if (const diag::JValue *B = D->get("library"))
-      R.Library = B->K == diag::JValue::Kind::Bool && B->B;
-    R.MaxSeconds = D->num("max_seconds", 0);
-    R.MaxInsns = static_cast<uint64_t>(D->num("max_insns", 0));
-    R.FunctionFilter = D->str("function");
-    R.AddrFilter = D->str("addr");
+      R.Opt.Library = B->K == diag::JValue::Kind::Bool && B->B;
+    // Request budgets may lower the daemon's caps, never raise them. A wall
+    // cap of 0 means no limit, so there the request's own budget applies.
+    double Sec = D->num("max_seconds", 0), Insns = D->num("max_insns", 0);
+    double &MaxSec = R.Opt.Lift.MaxSeconds;
+    if (Sec > 0 && (MaxSec == 0 || Sec < MaxSec))
+      MaxSec = Sec;
+    if (Insns > 0 && Insns < double(R.Opt.Lift.MaxVertices))
+      R.Opt.Lift.MaxVertices = static_cast<size_t>(Insns);
+    R.Filter.FunctionFilter = D->str("function");
+    R.Filter.AddrFilter = D->str("addr");
 
     // Control ops are answered inline by this thread — metrics must work
     // even when every worker slot and queue slot is occupied.
@@ -490,7 +471,8 @@ void connLoop(Server &S, std::shared_ptr<Conn> C) {
       requestDrain(S);
       continue;
     }
-    if (R.Op != "lift" && R.Op != "check" && R.Op != "explain") {
+    if (std::find(std::begin(RequestOps), std::end(RequestOps), R.Op) ==
+        std::end(RequestOps)) {
       C->writeLine(errorLine(R.Id, toExit(ExitCode::Usage),
                              "unknown op `" + R.Op + "`"));
       continue;
@@ -613,14 +595,10 @@ int runServe(const ServeOptions &Opt, std::ostream &OS, std::ostream &ES) {
   // One warm store per worker, opened before the pool starts so worker I
   // can hold instance I for its whole life (sequential reuse per instance;
   // the on-disk format makes concurrent instances over one DIR safe).
-  if (!Opt.CacheDir.empty())
-    for (unsigned I = 0; I < Opt.Workers; ++I) {
-      store::CacheStore::Options CO;
-      CO.Dir = Opt.CacheDir;
-      CO.MaxBytes = Opt.CacheMaxMB * 1024 * 1024;
-      CO.Validate = Opt.CacheValidate;
-      S.Stores.push_back(std::make_unique<store::CacheStore>(std::move(CO)));
-    }
+  if (!Opt.Base.Cache.Dir.empty())
+    for (unsigned I = 0; I < Opt.Workers; ++I)
+      S.Stores.push_back(
+          std::make_unique<store::CacheStore>(Opt.Base.Cache.storeOptions()));
 
   std::vector<std::thread> Workers;
   Workers.reserve(Opt.Workers);
@@ -699,31 +677,25 @@ int runServe(const ServeOptions &Opt, std::ostream &OS, std::ostream &ES) {
 
 // ------------------------------------------------------------------ client
 
-int runServeClient(const ServeOptions &Opt, std::ostream &OS,
+int runServeClient(const ServeOptions &Opt,
+                   const driver::ExplainOptions &Filter, std::ostream &OS,
                    std::ostream &ES) {
   std::string Req = "{\"op\":\"" + Opt.Op + "\",\"id\":\"cli\"";
   if (Opt.Op == "lift" || Opt.Op == "check") {
-    if (Opt.File.empty()) {
-      ES << "serve: --client " << Opt.Op << " needs a binary path\n";
-      return toExit(ExitCode::Usage);
-    }
     // The daemon resolves the path, so send it absolute: the client's cwd
     // is not the daemon's.
     std::error_code EC;
     std::filesystem::path Abs = std::filesystem::absolute(Opt.File, EC);
     Req += ",\"file\":\"" +
            diag::jsonEscape(EC ? Opt.File : Abs.string()) + "\"";
-    if (Opt.Library)
+    const hg::LiftConfig &L = Opt.Base.Lift, Def;
+    if (Opt.Base.Library)
       Req += ",\"library\":true";
-    if (Opt.MaxSecondsGiven)
-      Req += ",\"max_seconds\":" + std::to_string(Opt.MaxSeconds);
-    if (Opt.MaxInsnsGiven)
-      Req += ",\"max_insns\":" + std::to_string(Opt.MaxInsns);
+    if (L.MaxSeconds != Def.MaxSeconds)
+      Req += ",\"max_seconds\":" + std::to_string(L.MaxSeconds);
+    if (L.MaxVertices != Def.MaxVertices)
+      Req += ",\"max_insns\":" + std::to_string(L.MaxVertices);
   } else if (Opt.Op == "explain") {
-    if (Opt.File.empty()) {
-      ES << "serve: --client explain needs a report path\n";
-      return toExit(ExitCode::Usage);
-    }
     std::optional<std::vector<uint8_t>> Bytes = readFileBytes(Opt.File);
     if (!Bytes) {
       ES << "serve: cannot read " << Opt.File << "\n";
@@ -731,13 +703,11 @@ int runServeClient(const ServeOptions &Opt, std::ostream &OS,
     }
     Req += ",\"report\":\"" +
            diag::jsonEscape(std::string(Bytes->begin(), Bytes->end())) + "\"";
-    if (!Opt.FunctionFilter.empty())
-      Req += ",\"function\":\"" + diag::jsonEscape(Opt.FunctionFilter) + "\"";
-    if (!Opt.AddrFilter.empty())
-      Req += ",\"addr\":\"" + diag::jsonEscape(Opt.AddrFilter) + "\"";
-  } else if (Opt.Op != "metrics" && Opt.Op != "shutdown") {
-    ES << "serve: unknown --op " << Opt.Op << "\n";
-    return toExit(ExitCode::Usage);
+    if (!Filter.FunctionFilter.empty())
+      Req += ",\"function\":\"" + diag::jsonEscape(Filter.FunctionFilter) +
+             "\"";
+    if (!Filter.AddrFilter.empty())
+      Req += ",\"addr\":\"" + diag::jsonEscape(Filter.AddrFilter) + "\"";
   }
   Req += "}\n";
 
@@ -781,19 +751,14 @@ int runServeClient(const ServeOptions &Opt, std::ostream &OS,
     std::string Ev = D->str("event");
     if (Ev == "result") {
       Exit = static_cast<int>(D->num("exit", 0));
-      if (!Opt.ReportOut.empty()) {
-        // The unescaped payload — for explain the narrative text, else the
-        // report JSON, byte-identical to a CLI --report-json file.
-        std::string Payload =
-            Opt.Op == "explain" ? D->str("text") : D->str("report");
-        std::ofstream Out(Opt.ReportOut, std::ios::binary);
-        if (!Out) {
-          ES << "serve: cannot open " << Opt.ReportOut << " for writing\n";
-          Exit = toExit(ExitCode::Io);
-        } else {
-          Out << Payload;
-        }
-      }
+      // The unescaped payload — for explain the narrative text, else the
+      // report JSON, byte-identical to a CLI --report-json file.
+      std::string Payload =
+          Opt.Op == "explain" ? D->str("text") : D->str("report");
+      if (!driver::writeArtifact(Opt.ReportOut, "", [&](std::ostream &Out) {
+            Out << Payload;
+          }))
+        Exit = toExit(ExitCode::Io);
     } else if (Ev == "error") {
       Exit = static_cast<int>(D->num("exit", toExit(ExitCode::Fail)));
       Terminal = true;
@@ -806,67 +771,6 @@ int runServeClient(const ServeOptions &Opt, std::ostream &OS,
   }
   ::close(Fd);
   return Exit;
-}
-
-// ------------------------------------------------------------------- flags
-
-bool parseServeArgs(int argc, char **argv, ServeOptions &Opt,
-                    std::ostream &ES) {
-  for (int I = 2; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--socket" && I + 1 < argc)
-      Opt.SocketPath = argv[++I];
-    else if (A == "--tcp-port" && I + 1 < argc)
-      Opt.TcpPort = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A == "--threads" && I + 1 < argc)
-      Opt.Workers = std::max(1, std::atoi(argv[++I]));
-    else if (A == "--max-queue" && I + 1 < argc)
-      Opt.MaxQueue = std::max(1, std::atoi(argv[++I]));
-    else if (A == "--memo-max" && I + 1 < argc)
-      Opt.MemoMax = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A == "--retry-after-ms" && I + 1 < argc)
-      Opt.RetryAfterMs = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A == "--cache-dir" && I + 1 < argc)
-      Opt.CacheDir = argv[++I];
-    else if (A == "--cache-max-mb" && I + 1 < argc)
-      Opt.CacheMaxMB = std::strtoull(argv[++I], nullptr, 0);
-    else if (A == "--no-cache-validate")
-      Opt.CacheValidate = false;
-    else if (A == "--max-seconds" && I + 1 < argc) {
-      Opt.MaxSeconds = std::atof(argv[++I]);
-      Opt.MaxSecondsGiven = true;
-    } else if (A == "--max-insns" && I + 1 < argc) {
-      Opt.MaxInsns = std::strtoull(argv[++I], nullptr, 0);
-      Opt.MaxInsnsGiven = true;
-    } else if (A == "--witness-dir" && I + 1 < argc)
-      Opt.WitnessDir = argv[++I];
-    else if (A == "--witness-budget" && I + 1 < argc)
-      Opt.WitnessBudget =
-          static_cast<unsigned>(std::max(1, std::atoi(argv[++I])));
-    else if (A == "--client")
-      Opt.Client = true;
-    else if (A == "--op" && I + 1 < argc)
-      Opt.Op = argv[++I];
-    else if (A == "--library")
-      Opt.Library = true;
-    else if (A == "--function" && I + 1 < argc)
-      Opt.FunctionFilter = argv[++I];
-    else if (A == "--addr" && I + 1 < argc)
-      Opt.AddrFilter = argv[++I];
-    else if (A == "--report-out" && I + 1 < argc)
-      Opt.ReportOut = argv[++I];
-    else if (!A.empty() && A[0] != '-' && Opt.File.empty())
-      Opt.File = A;
-    else {
-      ES << "serve: unknown option: " << A << "\n";
-      return false;
-    }
-  }
-  if (Opt.SocketPath.empty()) {
-    ES << "serve: --socket PATH is required\n";
-    return false;
-  }
-  return true;
 }
 
 } // namespace hglift::serve

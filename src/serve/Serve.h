@@ -31,7 +31,9 @@
 #ifndef HGLIFT_SERVE_SERVE_H
 #define HGLIFT_SERVE_SERVE_H
 
-#include <cstdint>
+#include "api/Hglift.h"
+#include "driver/Explain.h"
+
 #include <iosfwd>
 #include <string>
 
@@ -43,9 +45,24 @@ namespace hglift::serve {
 /// version.
 inline constexpr int ServeSchemaVersion = 1;
 
+/// The request ops the daemon answers (and `--client --op` accepts).
+inline constexpr const char *RequestOps[] = {"lift", "check", "explain",
+                                             "metrics", "shutdown"};
+
 /// Everything `hglift serve` (daemon and client mode) can be configured
-/// with. Plain data, filled by parseServeArgs.
+/// with. Plain data, filled by the flag table (driver/Flags.h).
 struct ServeOptions {
+  /// Daemon: what every served Session lifts with. Its Cache is the
+  /// shared artifact store (one warm instance per worker), Library the
+  /// default for requests that omit `library`, and Lift.MaxSeconds /
+  /// Lift.MaxVertices the caps a request's max_seconds / max_insns may
+  /// lower but never raise (a wall cap of 0 is no limit, so the request's
+  /// budget applies). Sessions always run single-threaded: --threads is
+  /// the worker-pool size. Witness.Dir non-empty adds the witness search
+  /// a CLI `check --witness-dir` run performs to every `check` request.
+  /// Client: Library and the two budgets are sent as request fields when
+  /// they differ from their defaults.
+  Options Base;
   std::string SocketPath; ///< --socket PATH (required, both modes)
   unsigned TcpPort = 0;   ///< --tcp-port N: also listen on 127.0.0.1:N
   unsigned Workers = 1;   ///< --threads N: lifting worker threads
@@ -53,43 +70,15 @@ struct ServeOptions {
   unsigned MemoMax = 128; ///< --memo-max N: LRU response memo (0 = off)
   unsigned RetryAfterMs = 100; ///< --retry-after-ms N: advertised backoff
 
-  std::string CacheDir;      ///< --cache-dir DIR: shared artifact store
-  uint64_t CacheMaxMB = 0;   ///< --cache-max-mb N
-  bool CacheValidate = true; ///< cleared by --no-cache-validate
-
-  /// --max-seconds N. Daemon: server-side cap a request's max_seconds can
-  /// lower but never raise. Client: the request budget (sent iff given).
-  double MaxSeconds = 60.0;
-  bool MaxSecondsGiven = false;
-  /// --max-insns N. Same cap/request duality; maps onto the lifter's
-  /// vertex fuel (LiftConfig::MaxVertices), which bounds explored
-  /// instructions and retains the partial graph on exhaustion.
-  uint64_t MaxInsns = 0;
-  bool MaxInsnsGiven = false;
-
-  /// --witness-dir DIR (daemon only): after every `check` request whose
-  /// binary has verification errors, synthesise replayable counterexample
-  /// sidecars into DIR (witness/Witness.h) and embed the same `witnesses`
-  /// report section a CLI `check --witness-dir DIR` run writes — the
-  /// report payload stays byte-identical to the CLI's. Empty = off.
-  std::string WitnessDir;
-  unsigned WitnessBudget = 64; ///< --witness-budget N: candidates per site
-
   // Client mode (--client): connect, submit one request, stream the
   // response lines to stdout, exit with the result's exit code.
   bool Client = false;
-  std::string Op = "lift"; ///< --op lift|check|explain|metrics|shutdown
-  std::string File;        ///< positional: binary (lift/check), report (explain)
-  bool Library = false;    ///< --library
-  std::string FunctionFilter; ///< --function F (explain)
-  std::string AddrFilter;     ///< --addr A (explain)
-  std::string ReportOut;      ///< --report-out F: unescaped report payload
-};
+  std::string Op = "lift"; ///< --op, one of RequestOps
+  std::string File;      ///< positional: binary (lift/check), report (explain)
+  std::string ReportOut; ///< --report-out F: unescaped report payload
 
-/// Parse `hglift serve ...` argv (argv[1] == "serve"). False on bad usage,
-/// with a message on ES.
-bool parseServeArgs(int argc, char **argv, ServeOptions &Opt,
-                    std::ostream &ES);
+  bool operator==(const ServeOptions &) const = default;
+};
 
 /// Run the daemon: listen on Opt.SocketPath (and TcpPort), serve requests
 /// until SIGTERM/SIGINT or a `shutdown` request, drain, return a process
@@ -97,9 +86,11 @@ bool parseServeArgs(int argc, char **argv, ServeOptions &Opt,
 int runServe(const ServeOptions &Opt, std::ostream &OS, std::ostream &ES);
 
 /// Client mode: submit one request to a running daemon and stream every
-/// response line to OS. Returns the result's exit code (rejection maps to
-/// Fail, transport loss to Io).
-int runServeClient(const ServeOptions &Opt, std::ostream &OS,
+/// response line to OS; an explain request carries Filter's --function and
+/// --addr. Returns the result's exit code (rejection maps to Fail,
+/// transport loss to Io).
+int runServeClient(const ServeOptions &Opt,
+                   const driver::ExplainOptions &Filter, std::ostream &OS,
                    std::ostream &ES);
 
 } // namespace hglift::serve

@@ -2,14 +2,15 @@
 
 #include "shard/Shard.h"
 
-#include "api/Hglift.h"
 #include "shard/LineProto.h"
 #include "diag/Diag.h"
 #include "diag/Json.h"
 #include "driver/ExitCode.h"
+#include "driver/Flags.h"
 #include "elf/ElfReader.h"
 #include "store/CostLedger.h"
 #include "store/Store.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -32,16 +33,6 @@ namespace hglift::shard {
 
 using driver::ExitCode;
 using driver::toExit;
-
-std::vector<std::vector<size_t>> planShards(size_t NumBinaries,
-                                            unsigned Shards) {
-  if (Shards == 0)
-    Shards = 1;
-  std::vector<std::vector<size_t>> Plan(Shards);
-  for (size_t I = 0; I < NumBinaries; ++I)
-    Plan[I % Shards].push_back(I);
-  return Plan;
-}
 
 unsigned resolveAutoShards(size_t NumUnits) {
   unsigned Hw = std::thread::hardware_concurrency();
@@ -108,22 +99,8 @@ std::string liftOneFragment(const ShardOptions &Opt, size_t Idx,
     return OS.str();
   }
 
-  Options O;
-  O.Library = Opt.Library;
-  O.Cache.Dir = Opt.CacheDir;
-  O.Cache.MaxMB = Opt.CacheMaxMB;
-  O.Cache.Validate = Opt.CacheValidate;
-  O.Lift.Solver.Portfolio = Opt.Portfolio;
-  if (Opt.MaxSeconds > 0)
-    O.Lift.MaxSeconds = Opt.MaxSeconds;
-
-  Session S(*Img, O);
-  const hg::BinaryResult &R = S.lift();
-  bool Good = R.Outcome == hg::LiftOutcome::Lifted;
-  if (Opt.Check)
-    Good = S.check().allProven() && Good;
-  if (!Good)
-    ExitAccum = std::max(ExitAccum, toExit(ExitCode::Fail));
+  Session S(*Img, Opt.Base);
+  ExitAccum = std::max(ExitAccum, toExit(S.verdict(Opt.Check)));
 
   std::ostringstream OS;
   S.writeReportJson(OS);
@@ -203,47 +180,9 @@ bool parseRunLine(const std::string &Line, size_t &Id, WorkUnit &U) {
   std::string List;
   if (!(IS >> List))
     return false;
-  size_t Pos = 0;
-  while (Pos <= List.size()) {
-    size_t Comma = List.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = List.size();
-    if (Comma > Pos)
-      U.Entries.push_back(
-          std::strtoull(List.substr(Pos, Comma - Pos).c_str(), nullptr, 16));
-    Pos = Comma + 1;
-  }
+  for (const std::string &E : splitList(List))
+    U.Entries.push_back(std::strtoull(E.c_str(), nullptr, 16));
   return !U.Entries.empty();
-}
-
-/// Build the worker argv. No slice — workers pull over the claim pipes —
-/// but every CLI-serializable option is still forwarded so the worker
-/// reconstructs an identical per-unit ShardOptions.
-std::vector<std::string> workerArgs(const ShardOptions &Opt, int GrantR,
-                                    int ReqW, const std::string &Exe) {
-  std::vector<std::string> A{Exe, "shard", "--shard-worker-fds",
-                             std::to_string(GrantR) + "," +
-                                 std::to_string(ReqW),
-                             "--cache-dir", Opt.CacheDir};
-  if (Opt.CacheMaxMB) {
-    A.push_back("--cache-max-mb");
-    A.push_back(std::to_string(Opt.CacheMaxMB));
-  }
-  if (!Opt.CacheValidate)
-    A.push_back("--no-cache-validate");
-  if (Opt.Check)
-    A.push_back("--check");
-  if (Opt.Library)
-    A.push_back("--library");
-  if (!Opt.Portfolio)
-    A.push_back("--no-solver-portfolio");
-  if (Opt.MaxSeconds > 0) {
-    A.push_back("--max-seconds");
-    A.push_back(std::to_string(Opt.MaxSeconds));
-  }
-  for (const std::string &B : Opt.Binaries)
-    A.push_back(B);
-  return A;
 }
 
 /// One worker slot in the parent: its process, its pipe ends, and its
@@ -277,7 +216,15 @@ bool spawnWorker(const ShardOptions &Opt, const std::string &Exe,
     return false;
   }
 
-  std::vector<std::string> Args = workerArgs(Opt, Grant[0], Req[1], Exe);
+  // The worker argv. No slice — workers pull over the claim pipes — but
+  // the whole ShardOptions, rendered through the flag table that parses
+  // it, so the worker reconstructs an identical one.
+  driver::CommandLine CL;
+  CL.Cmd = driver::Command::Shard;
+  CL.Shard = Opt;
+  CL.WorkerFds = {Grant[0], Req[1]};
+  std::vector<std::string> Args = driver::renderCommandLine(CL);
+  Args.insert(Args.begin(), Exe);
   std::vector<char *> Argv;
   Argv.reserve(Args.size() + 1);
   for (const std::string &A : Args)
@@ -375,7 +322,7 @@ struct ProgressLine {
 std::vector<WorkUnit> planUnits(const ShardOptions &Opt, unsigned Shards,
                                 ShardSchedStats &Sched) {
   std::vector<WorkUnit> Units;
-  store::CostLedger Ledger(Opt.CacheDir + "/ledger");
+  store::CostLedger Ledger(Opt.Base.Cache.Dir + "/ledger");
   for (size_t I = 0; I < Opt.Binaries.size(); ++I) {
     unsigned Owner = Shards ? static_cast<unsigned>(I % Shards) : 0;
     WorkUnit Lift;
@@ -406,7 +353,7 @@ std::vector<WorkUnit> planUnits(const ShardOptions &Opt, unsigned Shards,
     // advisory prewarm chunks. The lift unit runs after them (DepsLeft)
     // and assembles its fragment from store hits, so the fragment bytes
     // are exactly a warm run's — which are gated byte-identical to cold.
-    if (Opt.Granularity == StealGranularity::Function && Opt.Library &&
+    if (Opt.Granularity == StealGranularity::Function && Opt.Base.Library &&
         Opt.PrewarmChunk > 0) {
       std::vector<uint64_t> Entries;
       for (const elf::Symbol &F : Img->Functions)
@@ -460,29 +407,21 @@ int execUnit(const ShardOptions &Opt, const WorkUnit &U, double *SecondsOut) {
       return toExit(ExitCode::Usage);
     int Accum = toExit(ExitCode::Ok);
     std::string Frag = liftOneFragment(Opt, U.Bin, Accum);
-    if (!writeAtomically(fragPath(Opt.CacheDir, U.Bin), Frag)) {
-      std::fprintf(stderr, "shard: cannot write %s\n",
-                   fragPath(Opt.CacheDir, U.Bin).c_str());
+    std::string Path = fragPath(Opt.Base.Cache.Dir, U.Bin);
+    if (!writeAtomically(Path, Frag)) {
+      std::fprintf(stderr, "shard: cannot write %s\n", Path.c_str());
       Exit = toExit(ExitCode::Io);
     } else {
       Exit = Accum;
     }
   } else {
     // Prewarm: lift the chunk's functions into the shared store through
-    // the ordinary cache hook. The LiftConfig must match the lift unit's
-    // result-visible knobs exactly or the store's config digest would
-    // miss; the digest ignores cache/thread/budget knobs by design.
+    // the ordinary cache hook, with the very LiftConfig the lift unit's
+    // Session uses — so both key the store under one config digest.
     if (U.Bin < Opt.Binaries.size()) {
       if (auto Img = elf::readElfFile(Opt.Binaries[U.Bin])) {
-        store::CacheStore::Options SO;
-        SO.Dir = Opt.CacheDir;
-        SO.MaxBytes = Opt.CacheMaxMB * 1024 * 1024;
-        SO.Validate = Opt.CacheValidate;
-        store::CacheStore CS(std::move(SO));
-        hg::LiftConfig Cfg;
-        Cfg.Solver.Portfolio = Opt.Portfolio;
-        if (Opt.MaxSeconds > 0)
-          Cfg.MaxSeconds = Opt.MaxSeconds;
+        store::CacheStore CS(Opt.Base.Cache.storeOptions());
+        hg::LiftConfig Cfg = Opt.Base.Lift;
         Cfg.Cache = &CS;
         hg::Lifter L(*Img, Cfg);
         for (uint64_t E : U.Entries)
@@ -508,7 +447,7 @@ int runWorkerLoop(const ShardOptions &Opt, int GrantFd, int RequestFd) {
 
   ::signal(SIGPIPE, SIG_IGN);
   std::string Err;
-  if (!ensureFragDir(Opt.CacheDir, Err)) {
+  if (!ensureFragDir(Opt.Base.Cache.Dir, Err)) {
     std::fprintf(stderr, "shard: %s\n", Err.c_str());
     return toExit(ExitCode::Io);
   }
@@ -541,28 +480,28 @@ int runWorkerLoop(const ShardOptions &Opt, int GrantFd, int RequestFd) {
 
 ShardResult runShards(const ShardOptions &Opt) {
   ShardResult R;
+  const std::string &Dir = Opt.Base.Cache.Dir;
   if (Opt.Binaries.empty()) {
     R.Error = "no input binaries";
     R.Exit = toExit(ExitCode::Usage);
     return R;
   }
-  if (Opt.CacheDir.empty()) {
+  if (Dir.empty()) {
     R.Error = "shard requires --cache-dir (workers coordinate through it)";
     R.Exit = toExit(ExitCode::Usage);
     return R;
   }
-  if (!ensureFragDir(Opt.CacheDir, R.Error)) {
+  if (!ensureFragDir(Dir, R.Error)) {
     R.Exit = toExit(ExitCode::Io);
     return R;
   }
   // Stale fragments from a previous run must not satisfy this one's
   // completion checks (they could mask a crashed worker).
   for (size_t I = 0; I < Opt.Binaries.size(); ++I)
-    std::remove(fragPath(Opt.CacheDir, I).c_str());
+    std::remove(fragPath(Dir, I).c_str());
 
   unsigned Shards =
-      Opt.AutoShards ? resolveAutoShards(Opt.Binaries.size())
-                     : (Opt.Shards == 0 ? 1u : Opt.Shards);
+      Opt.Shards == 0 ? resolveAutoShards(Opt.Binaries.size()) : Opt.Shards;
   // More workers than binaries only ever idle: with function granularity
   // the extra units still funnel into per-binary fragments.
   unsigned W = static_cast<unsigned>(
@@ -572,7 +511,7 @@ ShardResult runShards(const ShardOptions &Opt) {
   R.ShardsResolved = W;
 
   std::vector<WorkUnit> Units = planUnits(Opt, W, R.Sched);
-  store::CostLedger Ledger(Opt.CacheDir + "/ledger");
+  store::CostLedger Ledger(Dir + "/ledger");
 
   // Shared scheduler state (parent side; the serial path drains the same
   // structures in-process).
@@ -900,7 +839,7 @@ ShardResult runShards(const ShardOptions &Opt) {
   std::string Merged;
   Merged += "{\"shard_schema_version\": 1, \"binaries\": [\n";
   for (size_t I = 0; I < Opt.Binaries.size(); ++I) {
-    std::ifstream In(fragPath(Opt.CacheDir, I), std::ios::binary);
+    std::ifstream In(fragPath(Dir, I), std::ios::binary);
     if (!In) {
       R.Error = "missing fragment for " + Opt.Binaries[I];
       R.Exit = toExit(ExitCode::Io);
@@ -931,7 +870,8 @@ void writeShardStatsJson(std::ostream &OS, const ShardOptions &Opt,
      << "  \"shard_stats_schema_version\": 1,\n"
      << "  \"binaries\": " << Opt.Binaries.size() << ",\n"
      << "  \"shards\": " << R.ShardsResolved << ",\n"
-     << "  \"auto_shards\": " << (Opt.AutoShards ? "true" : "false") << ",\n"
+     << "  \"auto_shards\": " << (Opt.Shards == 0 ? "true" : "false")
+     << ",\n"
      << "  \"work_stealing\": " << (Opt.WorkStealing ? "true" : "false")
      << ",\n"
      << "  \"granularity\": \""

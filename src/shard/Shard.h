@@ -52,6 +52,7 @@
 #ifndef HGLIFT_SHARD_SHARD_H
 #define HGLIFT_SHARD_SHARD_H
 
+#include "api/Hglift.h"
 #include "support/LiftStats.h"
 
 #include <cstddef>
@@ -71,20 +72,27 @@ enum class StealGranularity : uint8_t {
   Function,
 };
 
-/// Everything a sharded run can be configured with. A deliberately small,
-/// CLI-serializable subset of hglift::Options: whatever is set here must
-/// survive the trip through a worker's argv, so only flat flags live here.
+/// Everything a sharded run can be configured with. Whatever the CLI can
+/// set here survives the trip through a worker's argv: the worker argv is
+/// rendered from the flag table (driver/Flags.h) that parsed it.
 struct ShardOptions {
+  /// What every unit lifts with — the lift unit's Session and the prewarm
+  /// units' Lifter alike, so both key the store under one config digest.
+  /// Base.Cache.Dir is the coordination root (required): the shared
+  /// artifact store, the fragment directory <Dir>/shard/, and the cost
+  /// ledger <Dir>/ledger/.
+  Options Base;
+  /// Run the Step-2 checker per binary (fragment then carries the proof
+  /// summary, exactly as `hglift check --report-json` would emit it).
+  bool Check = false;
   /// Input ELF paths. Entry order is merge order, regardless of which
   /// worker lifts which binary.
   std::vector<std::string> Binaries;
-  /// Worker process count. <= 1 runs the whole queue in-process (the
-  /// serial reference the byte-identity gate compares against). Ignored
-  /// when AutoShards is set.
+  /// Worker process count. 1 runs the whole queue in-process (the serial
+  /// reference the byte-identity gate compares against). 0 = `--shards
+  /// auto`: probe hardware threads, cap by corpus size and available
+  /// memory (resolveAutoShards).
   unsigned Shards = 1;
-  /// `--shards auto`: probe hardware threads, cap by corpus size and
-  /// available memory (resolveAutoShards).
-  bool AutoShards = false;
   /// Pull-based claim order (the default). False restores the static
   /// round-robin assignment as an ablation: each worker may only claim
   /// units the round-robin plan owns, in plan order. The protocol and the
@@ -97,21 +105,6 @@ struct ShardOptions {
   /// Render a live progress/ETA line to stderr (claimed/completed units,
   /// per-worker state, steal count, ledger-calibrated ETA).
   bool Progress = false;
-  /// Coordination root (required): shared artifact store, the fragment
-  /// directory <CacheDir>/shard/, and the cost ledger <CacheDir>/ledger/.
-  std::string CacheDir;
-  uint64_t CacheMaxMB = 0;
-  bool CacheValidate = true;
-  /// Run the Step-2 checker per binary (fragment then carries the proof
-  /// summary, exactly as `hglift check --report-json` would emit it).
-  bool Check = false;
-  /// Lift exported symbols instead of the entry point.
-  bool Library = false;
-  /// Tiered relation-solver portfolio (--no-solver-portfolio turns the
-  /// ablation legacy path back on, in every worker).
-  bool Portfolio = true;
-  /// Per-function wall budget, forwarded to workers (0 = library default).
-  double MaxSeconds = 0;
   /// Executable to spawn as the worker. Empty = /proc/self/exe, which is
   /// correct when the caller is hglift itself; tests point this at the
   /// built hglift binary.
@@ -119,6 +112,8 @@ struct ShardOptions {
   /// Re-spawns granted to a crashed worker before the run is declared
   /// failed.
   unsigned MaxRetries = 1;
+
+  bool operator==(const ShardOptions &) const = default;
 };
 
 /// One claimable unit of the queue.
@@ -133,8 +128,10 @@ struct WorkUnit {
   size_t Bin = 0;
   /// Function entry addresses (Prewarm only).
   std::vector<uint64_t> Entries;
-  /// The worker the static round-robin plan would give this unit to; a
-  /// claim by any other worker counts as a steal.
+  /// The worker the static round-robin plan gives this unit to (binary i
+  /// belongs to worker i % Shards) — the *reference* assignment: the
+  /// --no-work-stealing ablation grants exactly these units, and a claim
+  /// by any other worker counts as a steal.
   unsigned RROwner = 0;
   /// Cost estimate in (pseudo-)seconds: ledger seconds when FromLedger,
   /// otherwise the static executable-bytes heuristic.
@@ -150,15 +147,6 @@ struct WorkUnit {
   std::vector<size_t> Dependents;
 };
 
-/// Round-robin partition of [0, NumBinaries) into Shards slices: binary i
-/// goes to shard i % Shards. Deterministic, order-preserving within each
-/// slice, and balanced to within one item. Slices can be empty when
-/// Shards > NumBinaries. This is the *reference* assignment: the
-/// --no-work-stealing ablation grants exactly these slices, and the steal
-/// counter measures departures from it.
-std::vector<std::vector<size_t>> planShards(size_t NumBinaries,
-                                            unsigned Shards);
-
 /// `--shards auto`: hardware threads, capped by the unit count and by
 /// available memory (MemAvailable / 256 MiB per worker, when
 /// /proc/meminfo is readable). Never less than 1.
@@ -172,7 +160,7 @@ unsigned resolveAutoShards(size_t NumUnits);
 std::vector<WorkUnit> planUnits(const ShardOptions &Opt, unsigned Shards,
                                 ShardSchedStats &Sched);
 
-/// Fragment path for global binary index Idx under CacheDir.
+/// Fragment path for global binary index Idx under the coordination root.
 std::string fragPath(const std::string &CacheDir, size_t Idx);
 
 /// Execute one unit in this process — the code path both the serial

@@ -120,6 +120,7 @@ public:
     /// version differs from the current query's are swept first; if the
     /// sweep frees nothing (single hot predicate) the maps are cleared.
     size_t CacheCap = 1u << 16;
+    bool operator==(const Config &) const = default;
   };
 
   /// One decide() outcome: the relation plus where it came from.

@@ -47,6 +47,16 @@ std::string padRight(const std::string &S, size_t W) {
   return S + std::string(W - S.size(), ' ');
 }
 
+std::vector<std::string> splitList(const std::string &S) {
+  std::vector<std::string> Out;
+  for (size_t Pos = 0, Comma; Pos <= S.size(); Pos = Comma + 1) {
+    Comma = std::min(S.find(',', Pos), S.size());
+    if (Comma > Pos)
+      Out.push_back(S.substr(Pos, Comma - Pos));
+  }
+  return Out;
+}
+
 std::string groupedStr(uint64_t V) {
   std::string Raw = std::to_string(V);
   std::string Out;

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace hglift {
 
@@ -25,6 +26,9 @@ std::string padRight(const std::string &S, size_t W);
 /// Format a count with thousands separators ("399 771" style, as the paper
 /// prints instruction counts).
 std::string groupedStr(uint64_t V);
+
+/// The non-empty items of a comma-separated list ("a,,b" -> {"a", "b"}).
+std::vector<std::string> splitList(const std::string &S);
 
 } // namespace hglift
 

@@ -84,10 +84,10 @@ diag::WitnessSummary searchBinary(const elf::BinaryImage &Img,
                                   const std::vector<uint8_t> *ElfBytes =
                                       nullptr);
 
-/// Run searchBinary over a Session (Dir/Budget from Options::WitnessDir /
-/// WitnessBudget) and attach the summary (Session::setWitnesses), so the
-/// Session's --report-json gains the `witnesses` section. Uses whatever
-/// the Session has run: Step-2 diagnostics are searched iff check() ran.
+/// Run searchBinary over a Session (Dir/Budget from Options::Witness) and
+/// attach the summary (Session::setWitnesses), so the Session's
+/// --report-json gains the `witnesses` section. Uses whatever the Session
+/// has run: Step-2 diagnostics are searched iff check() ran.
 const diag::WitnessSummary &
 attachWitnesses(Session &S, const std::vector<uint8_t> *ElfBytes = nullptr);
 

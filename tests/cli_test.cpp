@@ -1,11 +1,16 @@
 //===- cli_test.cpp - End-to-end hglift CLI integration ------------------===//
 //
 // Exercises the shipped tool the way a user would: write a real ELF file,
-// invoke `hglift` with its flags, inspect exit codes and artifacts.
+// invoke `hglift` with its flags, inspect exit codes and artifacts. The
+// CliFlags suites check the flag table (driver/Flags.h) itself: random
+// CommandLines survive a trip through argv, and every numeric flag of
+// every subcommand rejects malformed values.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Programs.h"
+#include "driver/Flags.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -411,6 +416,233 @@ TEST(Cli, TraceEmitsValidJsonLines) {
   EXPECT_TRUE(SawBegin && SawLift && SawCheck && SawEnd)
       << "begin=" << SawBegin << " lift=" << SawLift
       << " check=" << SawCheck << " end=" << SawEnd;
+}
+
+TEST(Cli, UnwritableExportsExitThree) {
+  auto BB = corpus::callChainBinary();
+  ASSERT_TRUE(BB.has_value());
+  std::string Path = tmpPath("export_io.elf");
+  writeBinary(*BB, Path);
+  for (const char *Flag : {"--export-dot", "--export-isabelle"}) {
+    RunResult R =
+        runCli(Path + " " + Flag + " /nonexistent_hglift_dir/out.txt");
+    EXPECT_EQ(R.ExitCode, 3) << Flag << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("cannot open"), std::string::npos) << R.Output;
+    EXPECT_EQ(R.Output.find("wrote"), std::string::npos) << R.Output;
+  }
+}
+
+TEST(CliFlags, UsageErrorsNameTheirArgument) {
+  RunResult R = runCli("--check");
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("no binary given"), std::string::npos) << R.Output;
+
+  R = runCli("lift /dev/null --max-seconds");
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("--max-seconds needs a value"), std::string::npos)
+      << R.Output;
+
+  // A flag of another subcommand is not a lift flag.
+  R = runCli("lift /dev/null --no-work-stealing");
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("unknown option --no-work-stealing"),
+            std::string::npos)
+      << R.Output;
+
+  R = runCli("/dev/null /dev/zero");
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+
+  // A client request that names a file needs one, before any connect.
+  R = runCli("serve --socket /nonexistent_hglift_dir/s --client --op check");
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("no file given"), std::string::npos) << R.Output;
+}
+
+TEST(CliFlags, MalformedNumbersExitTwo) {
+  // Each prefix terminates quickly on its own should a malformed value be
+  // wrongly accepted: lift and shard reject /dev/null, the client finds no
+  // daemon, and the campaign has no runs.
+  auto Prefix = [](driver::Command C) -> std::string {
+    switch (C) {
+    case driver::Command::Lift:
+      return "lift /dev/null";
+    case driver::Command::Shard:
+      return "shard /dev/null --cache-dir " + tmpPath("malformed_cache");
+    case driver::Command::Serve:
+      return "serve --socket /nonexistent_hglift_dir/s --client --op metrics";
+    case driver::Command::Fuzz:
+      return "fuzz --runs 0";
+    case driver::Command::Explain:
+      return "explain /dev/null";
+    }
+    return "";
+  };
+  size_t Checked = 0;
+  for (const driver::Flag &F : driver::flagTable()) {
+    std::string Meta = F.Meta ? F.Meta : "";
+    if (Meta != "N" && Meta != "N|auto")
+      continue; // numeric values are always spelled N (or N|auto)
+    for (driver::Command C :
+         {driver::Command::Lift, driver::Command::Shard,
+          driver::Command::Serve, driver::Command::Fuzz,
+          driver::Command::Explain}) {
+      if (!F.accepts(C))
+        continue;
+      for (const char *Bad : {"abc", "1x", "-1", ""}) {
+        RunResult R = runCli(Prefix(C) + " " + F.Name + " '" + Bad + "'");
+        EXPECT_EQ(R.ExitCode, 2) << Prefix(C) << " " << F.Name << " '" << Bad
+                                 << "'\n" << R.Output;
+        EXPECT_NE(R.Output.find(F.Name), std::string::npos) << R.Output;
+        ++Checked;
+      }
+    }
+  }
+  EXPECT_GE(Checked, 100u);
+}
+
+/// A random CommandLine for Cmd, drawn field by field over everything the
+/// CLI can express. Written against the structs, not the table, so a field
+/// no row renders (or parses) makes the round trip fail.
+driver::CommandLine randomCommandLine(Rng &R, driver::Command Cmd) {
+  using driver::Command;
+  driver::CommandLine CL;
+  CL.Cmd = Cmd;
+  auto Coin = [&R] { return R.below(2) == 1; };
+  auto Name = [&R](const char *Stem) {
+    return std::string(Stem) + std::to_string(R.below(1000));
+  };
+  auto Maybe = [&](const char *Stem) { return Coin() ? Name(Stem) : ""; };
+  auto Secs = [&] {
+    return Coin() ? 0.0
+                  : double(R.below(1u << 20)) / double(1 + R.below(1000));
+  };
+
+  if (Cmd == Command::Lift || Cmd == Command::Shard ||
+      Cmd == Command::Serve) {
+    Options &O = CL.options();
+    O.Library = Coin();
+    O.Cache.Dir = Maybe("/tmp/cache");
+    O.Cache.MaxMB = Coin() ? R.below(1u << 20) : 0;
+    O.Cache.Validate = Coin();
+    hg::LiftConfig &L = O.Lift;
+    L.EnableJoin = Coin();
+    if (Coin())
+      L.Sym.Policy = mem::UnknownPolicy::DestroyAlways;
+    L.Solver.EnableCache = L.LeqMemo = Coin();
+    L.OrderedWorklist = Coin();
+    L.Solver.Portfolio = Coin();
+    L.Sym.Vsa = Coin();
+    L.Sym.VsaMaxTargets = 1 + unsigned(R.below(500));
+    L.MaxSeconds = Secs();
+    L.MaxVertices = 1 + R.below(1u << 30);
+    if (Cmd != Command::Serve)
+      L.Threads = unsigned(R.below(64));
+    if (Cmd != Command::Shard) {
+      O.Witness.Dir = Maybe("/tmp/witness");
+      O.Witness.Budget = 1 + unsigned(R.below(200));
+    }
+  }
+  if (Cmd == Command::Lift || Cmd == Command::Shard) {
+    CL.StatsJson = Maybe("stats.json");
+    CL.ReportJson = Maybe("report.json");
+  }
+
+  switch (Cmd) {
+  case Command::Lift:
+    CL.Binary = Name("bin");
+    CL.Check = Coin();
+    CL.DumpHG = Coin();
+    CL.Trace = Maybe("trace");
+    CL.IsabelleOut = Maybe("thy");
+    CL.DotOut = Maybe("dot");
+    if (Coin()) {
+      const std::vector<fuzz::Mutant> &Reg = fuzz::mutantRegistry();
+      CL.Mutant = &Reg[R.below(Reg.size())];
+    }
+    break;
+  case Command::Shard:
+    CL.Shard.Check = Coin();
+    for (uint64_t I = R.below(4); I > 0; --I)
+      CL.Shard.Binaries.push_back(Name("bin"));
+    CL.Shard.Shards = unsigned(R.below(9)); // 0 = auto
+    CL.Shard.WorkStealing = Coin();
+    if (Coin())
+      CL.Shard.Granularity = shard::StealGranularity::Function;
+    CL.Shard.Progress = Coin();
+    if (Coin())
+      CL.WorkerFds = {int(R.below(1000)), int(R.below(1000))};
+    break;
+  case Command::Serve: {
+    serve::ServeOptions &S = CL.Serve;
+    S.SocketPath = Name("/tmp/sock");
+    S.TcpPort = unsigned(R.below(65536));
+    S.Workers = 1 + unsigned(R.below(16));
+    S.MaxQueue = 1 + unsigned(R.below(1000));
+    S.MemoMax = unsigned(R.below(1000));
+    S.RetryAfterMs = unsigned(R.below(10000));
+    S.Client = Coin();
+    S.Op = serve::RequestOps[R.below(std::size(serve::RequestOps))];
+    // A client request that names a file cannot go without one.
+    bool NeedsFile = S.Client && S.Op != "metrics" && S.Op != "shutdown";
+    S.File = NeedsFile ? Name("file") : Maybe("file");
+    S.ReportOut = Maybe("out");
+    CL.Explain.FunctionFilter = Maybe("0x40");
+    CL.Explain.AddrFilter = Maybe("0x41");
+    break;
+  }
+  case Command::Fuzz: {
+    fuzz::FuzzOptions &F = CL.Fuzz;
+    F.Seed = R.next();
+    F.Runs = unsigned(R.below(1000));
+    F.MaxInsns = 1 + unsigned(R.below(200));
+    F.MutateSemantics = Coin();
+    for (uint64_t I = R.below(3); I > 0; --I)
+      F.MutantFilter.push_back(Name("mutant"));
+    F.JsonPath = Maybe("fuzz.json");
+    F.ReproDir = Coin() ? "." : Name("repro");
+    F.ReduceMutant = Maybe("mutant");
+    F.BudgetSeconds = Secs();
+    F.OracleRuns = unsigned(R.below(10));
+    CL.Replay = Maybe("sidecar");
+    break;
+  }
+  case Command::Explain:
+    CL.Explain.ReportPath = Name("report");
+    CL.Explain.FunctionFilter = Maybe("0x40");
+    CL.Explain.AddrFilter = Maybe("0x41");
+    break;
+  }
+  return CL;
+}
+
+std::string joined(const std::vector<std::string> &Args) {
+  std::string S;
+  for (const std::string &A : Args)
+    S += " " + A;
+  return S;
+}
+
+TEST(CliFlags, RandomOptionsRoundTripThroughArgv) {
+  // The shard worker's argv is exactly renderCommandLine of the parent's
+  // ShardOptions (plus --shard-worker-fds), so this round trip is what
+  // guarantees a worker lifts with the parent's configuration.
+  Rng R(0x0f1a95);
+  for (unsigned I = 0; I < 600; ++I) {
+    driver::Command Cmd = driver::Command(I % 5);
+    driver::CommandLine CL = randomCommandLine(R, Cmd);
+    std::vector<std::string> Args = driver::renderCommandLine(CL);
+    std::vector<const char *> Argv{"hglift"};
+    for (const std::string &A : Args)
+      Argv.push_back(A.c_str());
+    driver::CommandLine Back;
+    std::ostringstream Err;
+    ASSERT_TRUE(driver::parseCommandLine(int(Argv.size()), Argv.data(), Back,
+                                         Err))
+        << Err.str() << joined(Args);
+    EXPECT_TRUE(Back == CL)
+        << "rendered:  " << joined(Args)
+        << "\nreparsed:  " << joined(driver::renderCommandLine(Back));
+  }
 }
 
 } // namespace

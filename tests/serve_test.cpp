@@ -43,6 +43,7 @@
 
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -549,6 +550,58 @@ TEST(ServeBudget, ExhaustedFuelYieldsPartialTimeout) {
   const diag::JValue *Fns = Rep->get("functions");
   ASSERT_TRUE(Fns && Fns->isArr());
   EXPECT_FALSE(Fns->Arr.empty());
+  EXPECT_EQ(C.readEvent().str("event"), "done");
+}
+
+TEST(ServeBudget, UnlimitedWallCapLetsRequestBudgetApply) {
+  // --max-seconds 0 means no limit, as in every subcommand, so a request's
+  // own max_seconds is the budget: the exploding binary times out instead
+  // of lifting until the vertex fuel runs dry.
+  auto BB = corpus::explodingBinary();
+  ASSERT_TRUE(BB.has_value());
+  std::string Elf = tmpPath("nocap.elf");
+  writeBinary(*BB, Elf);
+
+  Daemon D("nocap", {"--max-seconds", "0"});
+  Client C(D);
+  ASSERT_GE(C.Fd, 0);
+  // Unbounded, the lift runs for minutes: fail in seconds instead.
+  timeval Limit{30, 0};
+  setsockopt(C.Fd, SOL_SOCKET, SO_RCVTIMEO, &Limit, sizeof(Limit));
+  ASSERT_TRUE(
+      C.send(liftRequest("t", Elf, "lift", ",\"max_seconds\":0.05")));
+  EXPECT_EQ(C.readEvent().str("event"), "accepted");
+  diag::JValue Res = C.readEvent();
+  ASSERT_EQ(Res.str("event"), "result");
+  EXPECT_EQ(Res.str("outcome"), "timeout");
+  EXPECT_NE(Res.str("report").find("wall-clock budget exhausted"),
+            std::string::npos)
+      << "the request's max_seconds, not the vertex fuel, must end the lift";
+  EXPECT_EQ(C.readEvent().str("event"), "done");
+}
+
+TEST(ServeWarmCold, LiftingFlagsMatchCli) {
+  // A daemon started with a lifting flag lifts every request as the CLI
+  // does with the same flag: byte-identical reports.
+  auto BB = corpus::maskedTableBinary();
+  ASSERT_TRUE(BB.has_value());
+  std::string Elf = tmpPath("novsa.elf");
+  writeBinary(*BB, Elf);
+  std::string NoVsa = tmpPath("novsa_cli.json"), Vsa = tmpPath("vsa_cli.json");
+  runCli("check " + Elf + " --no-vsa --report-json " + NoVsa);
+  runCli("check " + Elf + " --report-json " + Vsa);
+  ASSERT_FALSE(readFileStr(NoVsa).empty());
+  ASSERT_NE(readFileStr(NoVsa), readFileStr(Vsa))
+      << "the subject must resolve differently with VSA off";
+
+  Daemon D("novsa", {"--no-vsa"});
+  Client C(D);
+  ASSERT_GE(C.Fd, 0);
+  ASSERT_TRUE(C.send(liftRequest("v", Elf, "check")));
+  EXPECT_EQ(C.readEvent().str("event"), "accepted");
+  diag::JValue Res = C.readEvent();
+  ASSERT_EQ(Res.str("event"), "result");
+  EXPECT_EQ(Res.str("report"), readFileStr(NoVsa));
   EXPECT_EQ(C.readEvent().str("event"), "done");
 }
 

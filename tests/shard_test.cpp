@@ -19,6 +19,10 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <set>
+#include <sstream>
+
+#include <sys/wait.h>
 
 using namespace hglift;
 namespace fs = std::filesystem;
@@ -62,10 +66,25 @@ shard::ShardOptions baseOptions(const std::string &CacheDir,
   shard::ShardOptions O;
   O.Binaries = corpusOnDisk();
   O.Shards = Shards;
-  O.CacheDir = CacheDir;
+  O.Base.Cache.Dir = CacheDir;
   O.Check = true;
   O.WorkerExe = HGLIFT_BIN;
   return O;
+}
+
+std::string readFileStr(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+/// Run the hglift binary; returns its exit code.
+int runCli(const std::string &Args) {
+  int RC = std::system((std::string(HGLIFT_BIN) + " " + Args +
+                        " >/dev/null 2>&1")
+                           .c_str());
+  return WIFEXITED(RC) ? WEXITSTATUS(RC) : -1;
 }
 
 shard::ShardResult runFresh(const std::string &Tag, unsigned Shards) {
@@ -74,28 +93,20 @@ shard::ShardResult runFresh(const std::string &Tag, unsigned Shards) {
   return shard::runShards(baseOptions(Dir, Shards));
 }
 
-TEST(ShardPlan, RoundRobinDeterministicAndBalanced) {
-  auto Plan = shard::planShards(10, 3);
-  ASSERT_EQ(Plan.size(), 3u);
-  EXPECT_EQ(Plan[0], (std::vector<size_t>{0, 3, 6, 9}));
-  EXPECT_EQ(Plan[1], (std::vector<size_t>{1, 4, 7}));
-  EXPECT_EQ(Plan[2], (std::vector<size_t>{2, 5, 8}));
-
-  // Every index appears exactly once, slices are balanced to within one,
-  // and more shards than binaries leaves the tail empty, never crashes.
-  auto Wide = shard::planShards(2, 5);
-  ASSERT_EQ(Wide.size(), 5u);
-  size_t Total = 0;
-  for (const auto &Slice : Wide)
-    Total += Slice.size();
-  EXPECT_EQ(Total, 2u);
-  EXPECT_TRUE(Wide[3].empty());
-  EXPECT_TRUE(shard::planShards(0, 4) ==
-              std::vector<std::vector<size_t>>(4));
-  // Shards == 0 is clamped to one slice holding everything.
-  auto One = shard::planShards(7, 0);
-  ASSERT_EQ(One.size(), 1u);
-  EXPECT_EQ(One[0].size(), 7u);
+TEST(ShardPlan, RoundRobinReferenceOwners) {
+  // The static plan every steal is measured against: binary i belongs to
+  // worker i % Shards, so the slices are balanced to within one unit.
+  shard::ShardOptions O = baseOptions(tmpPath("cache_plan"), 3);
+  O.Binaries.insert(O.Binaries.end(), O.Binaries.begin(), O.Binaries.end());
+  ShardSchedStats Sched;
+  std::vector<shard::WorkUnit> Units = shard::planUnits(O, 3, Sched);
+  ASSERT_EQ(Units.size(), O.Binaries.size());
+  std::vector<size_t> PerOwner(3, 0);
+  for (const shard::WorkUnit &U : Units) {
+    EXPECT_EQ(U.RROwner, U.Bin % 3);
+    ++PerOwner[U.RROwner];
+  }
+  EXPECT_EQ(PerOwner, (std::vector<size_t>{3, 3, 2}));
 }
 
 TEST(ShardMerge, SerialOneAndManyShardsAreByteIdentical) {
@@ -167,7 +178,7 @@ TEST(ShardSched, AutoShardsResolveAndStayByteIdentical) {
   std::string Dir = tmpPath("cache_auto");
   fs::remove_all(Dir);
   shard::ShardOptions O = baseOptions(Dir, 1);
-  O.AutoShards = true;
+  O.Shards = 0; // auto
   shard::ShardResult R = shard::runShards(O);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_GE(R.ShardsResolved, 1u);
@@ -192,9 +203,9 @@ TEST(ShardSched, StaticAblationStealsNothingAndMatchesBytes) {
   EXPECT_EQ(R.MergedReport, Serial.MergedReport);
 }
 
-TEST(ShardSched, FunctionGranularityPrewarmsAndMatchesBytes) {
-  // A symbol-rich shared object: enough exports that function granularity
-  // actually splits it into prewarm chunks.
+/// A symbol-rich shared object: enough exports that function granularity
+/// actually splits it into prewarm chunks.
+std::string prewarmLibrary() {
   corpus::GenOptions G;
   G.Seed = 11;
   G.NumFuncs = 9;
@@ -203,9 +214,15 @@ TEST(ShardSched, FunctionGranularityPrewarmsAndMatchesBytes) {
   G.ExternalPct = 0;
   G.Name = "shardlib";
   auto Lib = corpus::randomLibrary(G);
-  ASSERT_TRUE(Lib.has_value());
+  EXPECT_TRUE(Lib.has_value());
   std::string LibPath = tmpPath("shardlib.so");
-  writeBinary(*Lib, LibPath);
+  if (Lib)
+    writeBinary(*Lib, LibPath);
+  return LibPath;
+}
+
+TEST(ShardSched, FunctionGranularityPrewarmsAndMatchesBytes) {
+  std::string LibPath = prewarmLibrary();
 
   auto MakeOpts = [&](const std::string &Tag, unsigned Shards) {
     std::string Dir = tmpPath("cache_fg_" + Tag);
@@ -213,9 +230,9 @@ TEST(ShardSched, FunctionGranularityPrewarmsAndMatchesBytes) {
     shard::ShardOptions O;
     O.Binaries = {LibPath};
     O.Shards = Shards;
-    O.CacheDir = Dir;
+    O.Base.Cache.Dir = Dir;
     O.Check = true;
-    O.Library = true;
+    O.Base.Library = true;
     O.WorkerExe = HGLIFT_BIN;
     return O;
   };
@@ -235,6 +252,55 @@ TEST(ShardSched, FunctionGranularityPrewarmsAndMatchesBytes) {
     EXPECT_EQ(R.MergedReport, Serial.MergedReport)
         << "function granularity perturbed the report (N=" << N << ")";
   }
+}
+
+TEST(ShardCli, LiftingFlagsReachPrewarmAndLiftUnitsAlike) {
+  // `--no-vsa` through the CLI, with function granularity: the prewarm
+  // units and the lift unit must build one LiftConfig from one Options,
+  // so every store index ref names one config digest, and the merged
+  // report is the serial run's and the plain CLI's bytes. The library is
+  // given twice so two worker processes really run, on the argv the flag
+  // table renders for them.
+  std::string Lib = prewarmLibrary() + " " + prewarmLibrary();
+  std::string Dir = tmpPath("cache_cli_novsa"),
+              SerialDir = tmpPath("cache_cli_novsa_serial");
+  fs::remove_all(Dir);
+  fs::remove_all(SerialDir);
+  std::string Flags = " --library --check --no-vsa --report-json ";
+  std::string Merged = tmpPath("cli_novsa_merged.json"),
+              Serial = tmpPath("cli_novsa_serial.json"),
+              Cli = tmpPath("cli_novsa_check.json");
+  int Exit = runCli("shard " + Lib + " --cache-dir " + Dir + Flags + Merged +
+                    " --steal-granularity function --shards 2");
+  EXPECT_LE(Exit, 1);
+  EXPECT_EQ(runCli("shard " + Lib + " --cache-dir " + SerialDir + Flags +
+                   Serial + " --shards 1"),
+            Exit);
+  EXPECT_EQ(runCli("check " + prewarmLibrary() + Flags + Cli), Exit);
+
+  // Index refs are named <entry>-<cfg>.ref; the in-process serial run
+  // keys the store with the parent's own options.
+  auto Digests = [](const std::string &Store) {
+    std::set<std::string> D;
+    for (const auto &E : fs::directory_iterator(Store + "/index")) {
+      std::string Name = E.path().filename().string();
+      D.insert(Name.substr(Name.find('-') + 1));
+    }
+    return D;
+  };
+  EXPECT_EQ(Digests(Dir).size(), 1u) << "prewarm and lift units keyed the "
+                                        "store under different configs";
+  EXPECT_EQ(Digests(Dir), Digests(SerialDir))
+      << "workers lifted with other options than the parent";
+
+  std::string Frag = readFileStr(Cli);
+  while (!Frag.empty() && Frag.back() == '\n')
+    Frag.pop_back();
+  ASSERT_FALSE(Frag.empty());
+  EXPECT_EQ(readFileStr(Merged), readFileStr(Serial));
+  EXPECT_EQ(readFileStr(Merged),
+            "{\"shard_schema_version\": 1, \"binaries\": [\n" + Frag +
+                ",\n" + Frag + "\n]}\n");
 }
 
 TEST(ShardSched, LedgerWarmsAcrossRunsWithoutPerturbingBytes) {
@@ -302,7 +368,7 @@ TEST(ShardCache, PoisonedEntryDegradesToCleanMissAcrossProcesses) {
 
 TEST(ShardErrors, UsageAndIoFailuresAreReportedNotHung) {
   shard::ShardOptions NoCache = baseOptions("", 2);
-  NoCache.CacheDir.clear();
+  NoCache.Base.Cache.Dir.clear();
   shard::ShardResult R = shard::runShards(NoCache);
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Exit, 2);

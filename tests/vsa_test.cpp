@@ -7,7 +7,7 @@
 //   * every resolution is validated, never trusted: Step 2 re-derives the
 //     same successors from the vertex invariant, and the deliberately
 //     wrong `vsa-phantom-target` mutant dies there;
-//   * `--no-vsa` (Options::Vsa.Enable = false) reproduces the legacy
+//   * `--no-vsa` (Options::Lift.Sym.Vsa = false) reproduces the legacy
 //     resolver exactly — extended-only shapes degrade to annotations;
 //   * unresolvable shapes (missing guard, reads past the table, truly
 //     unbounded indices) still degrade to annotations with VSA on;
@@ -295,19 +295,19 @@ TEST(Vsa, StatsCountersExported) {
 }
 
 TEST(Vsa, OptionsFacadeDrivesSymConfig) {
-  // The facade contract: Options::Vsa is the single configuration point;
-  // Session maps it onto the lifting SymConfig at construction.
+  // The facade contract: Options::Lift.Sym is the single VSA
+  // configuration point; the Session lifts (and checks) with it unchanged.
   auto BB = corpus::maskedTableBinary();
   ASSERT_TRUE(BB.has_value());
   Options Off;
-  Off.Vsa.Enable = false;
+  Off.Lift.Sym.Vsa = false;
   Session S(BB->Img, Off);
   const hg::BinaryResult &R = S.lift();
   EXPECT_GE(R.totalB(), 1u);
   EXPECT_EQ(S.options().Lift.Sym.Vsa, false);
 
   Options Capped;
-  Capped.Vsa.MaxTargets = 2; // 8 distinct targets > 2: resolution aborts
+  Capped.Lift.Sym.VsaMaxTargets = 2; // 8 distinct targets > 2: aborts
   Session S2(BB->Img, Capped);
   const hg::BinaryResult &R2 = S2.lift();
   EXPECT_GE(R2.totalB(), 1u);
