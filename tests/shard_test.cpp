@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -29,8 +30,28 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// One private directory per test process, removed at exit: shard_test,
+/// shard_soak and shard_stress run this same binary, concurrently under
+/// `ctest -j`, and shared paths would let one clear another's store
+/// mid-run.
+struct TmpRoot {
+  std::string Path =
+      (fs::temp_directory_path() / "hglift_shard_XXXXXX").string();
+  TmpRoot() {
+    if (!::mkdtemp(Path.data())) {
+      std::perror("shard_test: mkdtemp");
+      std::abort();
+    }
+  }
+  ~TmpRoot() {
+    std::error_code EC;
+    fs::remove_all(Path, EC);
+  }
+};
+
 std::string tmpPath(const std::string &Name) {
-  return "/tmp/hglift_shard_" + Name;
+  static TmpRoot Root;
+  return Root.Path + "/" + Name;
 }
 
 void writeBinary(const corpus::BuiltBinary &BB, const std::string &Path) {
