@@ -20,7 +20,8 @@
 //
 // Results go to BENCH_incremental.json (override with --out PATH). --smoke
 // runs a tiny corpus and skips the timing gate — that mode is wired into
-// ctest as tier-1; the full run is registered as tier-2.
+// ctest as tier-1; the full run is registered as tier-2. The stores live in
+// a fresh mkdtemp directory under $TMPDIR, removed on exit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,8 @@
 #include "corpus/Programs.h"
 #include "store/Serialize.h"
 #include "store/Store.h"
+
+#include "WorkDir.h"
 
 #include <chrono>
 #include <cstdio>
@@ -151,7 +154,12 @@ int main(int argc, char **argv) {
 
   std::vector<CorpusItem> Corpus = buildCorpus(Smoke);
   const int Reps = Smoke ? 1 : 3;
-  fs::path Dir = fs::temp_directory_path() / "hglift_bench_incremental";
+  bench::WorkDir Work("hglift_bench_incremental");
+  if (Work.Path.empty()) {
+    std::fprintf(stderr, "cannot create a work directory\n");
+    return 3;
+  }
+  fs::path Dir = fs::path(Work.Path) / "cache";
 
   std::printf("incremental cache: %zu corpus binaries, %d timing rep%s\n\n",
               Corpus.size(), Reps, Reps == 1 ? "" : "s");
@@ -267,7 +275,6 @@ int main(int argc, char **argv) {
   std::ofstream Out(OutPath);
   if (!Out) {
     std::fprintf(stderr, "cannot open %s for writing\n", OutPath.c_str());
-    fs::remove_all(Dir);
     return 2;
   }
   char Buf[64];
@@ -291,6 +298,5 @@ int main(int argc, char **argv) {
   Out << "  \"incremental_misses\": " << IncStats.Misses << "\n}\n";
   std::printf("wrote %s\n", OutPath.c_str());
 
-  fs::remove_all(Dir);
   return WarmAllHit && WarmIdentical && IncOK && SpeedOK ? 0 : 1;
 }

@@ -10,7 +10,7 @@
 //   * dedup gate (always on): a second client submitting the same corpus
 //     is served from the store (hit ratio > 0) and writes nothing new —
 //     two clients submitting identical instruction bytes pay for one lift;
-//   * warm-latency gate (full mode only): the warm pass is >= 2x faster
+//   * warm-latency gate (full mode only): the warm pass is >= 1.2x faster
 //     than the cold pass end-to-end;
 //   * saturation phase (full mode, >= 4 hardware threads — auto-skipped
 //     with the reason recorded, matching BENCH_shard.json convention):
@@ -19,7 +19,8 @@
 //
 // Results go to BENCH_serve.json (--out PATH to override). --smoke runs a
 // tiny corpus and only the identity/dedup gates; that mode is wired into
-// ctest tier 1, the full run into tier 2.
+// ctest tier 1, the full run into tier 2. Corpus files, the store and the
+// socket live in a fresh mkdtemp directory under $TMPDIR, removed on exit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,8 @@
 #include "diag/Json.h"
 #include "serve/Serve.h"
 #include "shard/LineProto.h"
+
+#include "WorkDir.h"
 
 #include <algorithm>
 #include <atomic>
@@ -256,8 +259,12 @@ int main(int argc, char **argv) {
   ::signal(SIGPIPE, SIG_IGN);
 
   std::vector<CorpusItem> Corpus = buildCorpus(Smoke);
-  std::string WorkRoot = "/tmp/hglift_bench_serve";
-  std::filesystem::remove_all(WorkRoot);
+  bench::WorkDir Work("hglift_bench_serve");
+  if (Work.Path.empty()) {
+    std::fprintf(stderr, "cannot create a work directory\n");
+    return 3;
+  }
+  const std::string &WorkRoot = Work.Path;
   std::vector<std::string> Paths = corpusToDisk(Corpus, WorkRoot + "/elfs");
   std::printf("serve bench: %zu corpus binaries%s\n\n", Paths.size(),
               Smoke ? " (smoke)" : "");

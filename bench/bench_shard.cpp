@@ -17,11 +17,13 @@
 //   * shard gate: the merged report of a 2- and 4-worker `hglift shard`
 //     run is byte-identical to the serial run;
 //   * scaling gate (full mode, >= 4 hardware threads only — auto-skipped
-//     and reported as such on smaller machines): `hglift shard --shards 4`
+//     and reported as such on smaller machines): on a balanced corpus of
+//     16 libraries, each ~0.1 s of lifting, `hglift shard --shards 4`
 //     beats `hglift shard --shards 1` by >= 1.3x wall clock. Both sides
 //     are separate processes of the same binary, timed fork-to-reap and
 //     alternated over TimedPairs pairs; the gate is the ratio of the
-//     medians, and every timed run must merge the serial report's bytes;
+//     medians, and every timed run must merge the bytes of an in-process
+//     serial run over that corpus;
 //   * skew gate (same auto-skip rule, with the reason recorded in the
 //     JSON): on a corpus with one dominant binary (~4x a small one's
 //     measured cost) parked behind a static round-robin slice-mate, the
@@ -44,6 +46,8 @@
 #include "shard/Shard.h"
 #include "smt/RelationSolver.h"
 #include "support/Format.h"
+
+#include "WorkDir.h"
 
 #include <fcntl.h>
 #include <sys/wait.h>
@@ -280,11 +284,13 @@ struct ShardRun {
 };
 
 ShardRun runShardMode(const std::vector<std::string> &Paths,
-                      const std::string &CacheDir, unsigned Shards) {
+                      const std::string &CacheDir, unsigned Shards,
+                      bool Library = false) {
   std::filesystem::remove_all(CacheDir);
   shard::ShardOptions O;
   O.Binaries = Paths;
   O.Shards = Shards;
+  O.Base.Library = Library;
   O.Base.Cache.Dir = CacheDir;
   O.WorkerExe = HGLIFT_BIN;
   auto T0 = std::chrono::steady_clock::now();
@@ -425,7 +431,43 @@ PairedTiming timePairs(const std::vector<std::string> &Paths,
   return T;
 }
 
-// --- phase 5: skewed corpus, work stealing vs static round-robin ----------
+// --- phase 4/5 corpora ---------------------------------------------------
+
+/// Write a generated shared object of Funcs functions of ~400 instructions
+/// each to Dir/Name.elf and append its path to Paths.
+void emitLibrary(const std::string &Dir, uint64_t Seed, unsigned Funcs,
+                 const std::string &Name, std::vector<std::string> &Paths) {
+  corpus::GenOptions G;
+  G.Seed = Seed;
+  G.NumFuncs = Funcs;
+  G.TargetInstrs = 400;
+  G.JumpTablePct = 20;
+  G.Name = Name;
+  auto BB = corpus::randomLibrary(G);
+  if (!BB) {
+    std::fprintf(stderr, "warning: corpus item %s failed to build\n",
+                 Name.c_str());
+    return;
+  }
+  std::string P = Dir + "/" + Name + ".elf";
+  std::ofstream Out(P, std::ios::binary);
+  Out.write(reinterpret_cast<const char *>(BB->ElfBytes.data()),
+            static_cast<std::streamsize>(BB->ElfBytes.size()));
+  Paths.push_back(P);
+}
+
+/// Sixteen shared objects of 2 x ~400 instructions: a balanced corpus
+/// sized in measured seconds, like the skew corpus below. One library
+/// takes ~0.1 s to lift alone, so the serial side is well over a second
+/// of lifting and the gate times lifting, not process start-up (the
+/// 13-binary phase 1-3 corpus is a few hundredths of a second of work).
+std::vector<std::string> scalingCorpusToDisk(const std::string &Dir) {
+  std::filesystem::create_directories(Dir);
+  std::vector<std::string> Paths;
+  for (unsigned I = 0; I < 16; ++I)
+    emitLibrary(Dir, 0x5ca100 + I, 2, "scale_" + std::to_string(I), Paths);
+  return Paths;
+}
 
 /// Where the dominant binary sits: worker 0's slice under a 4-worker
 /// round-robin, behind its index-0 small binary.
@@ -445,29 +487,11 @@ constexpr size_t SkewDominantIndex = 4;
 std::vector<std::string> skewCorpusToDisk(const std::string &Dir) {
   std::filesystem::create_directories(Dir);
   std::vector<std::string> Paths;
-  auto Emit = [&](uint64_t Seed, unsigned Funcs, const std::string &Name) {
-    corpus::GenOptions G;
-    G.Seed = Seed;
-    G.NumFuncs = Funcs;
-    G.TargetInstrs = 400;
-    G.JumpTablePct = 20;
-    G.Name = Name;
-    auto BB = corpus::randomLibrary(G);
-    if (!BB) {
-      std::fprintf(stderr, "warning: skew item %s failed to build\n",
-                   Name.c_str());
-      return;
-    }
-    std::string P = Dir + "/" + Name + ".elf";
-    std::ofstream Out(P, std::ios::binary);
-    Out.write(reinterpret_cast<const char *>(BB->ElfBytes.data()),
-              static_cast<std::streamsize>(BB->ElfBytes.size()));
-    Paths.push_back(P);
-  };
   for (unsigned I = 0; I < 12; ++I) {
     if (Paths.size() == SkewDominantIndex)
-      Emit(0x5e3dff, 8, "skew_dominant");
-    Emit(0x5e3d00 + I, 2, "skew_small_" + std::to_string(I));
+      emitLibrary(Dir, 0x5e3dff, 8, "skew_dominant", Paths);
+    emitLibrary(Dir, 0x5e3d00 + I, 2, "skew_small_" + std::to_string(I),
+                Paths);
   }
   return Paths;
 }
@@ -496,23 +520,6 @@ SkewCost measureSkewCost(const std::vector<std::string> &Paths,
   C.Ratio = C.Small > 0 ? C.Dominant / C.Small : 0;
   return C;
 }
-
-/// A private work directory for one bench run, removed on exit.
-struct WorkDir {
-  std::string Path;
-  WorkDir() {
-    std::string T = (std::filesystem::temp_directory_path() /
-                     "hglift_bench_shard.XXXXXX")
-                        .string();
-    if (::mkdtemp(T.data()))
-      Path = T;
-  }
-  ~WorkDir() {
-    std::error_code EC;
-    if (!Path.empty())
-      std::filesystem::remove_all(Path, EC);
-  }
-};
 
 std::string jsonNum(double D) {
   char Buf[32];
@@ -598,7 +605,7 @@ int main(int argc, char **argv) {
               (unsigned long long)Diff.Disagreements);
 
   // Phase 3: shard byte identity (2 and 4 workers vs serial).
-  WorkDir Work;
+  bench::WorkDir Work("hglift_bench_shard");
   if (Work.Path.empty()) {
     std::fprintf(stderr, "cannot create a work directory\n");
     return 3;
@@ -616,24 +623,32 @@ int main(int argc, char **argv) {
               Identical2 ? "identical" : "DIFFER",
               Identical4 ? "identical" : "DIFFER");
 
-  // Phase 4: process scaling — only meaningful with real parallelism
-  // underneath, so auto-skip below 4 hardware threads. The serial side is
-  // its own `hglift shard --shards 1` process, like the workers: timed in
-  // this process, it would run on a heap that phases 1-3 already warmed.
+  // Phase 4: process scaling on its own balanced corpus — only
+  // meaningful with real parallelism underneath, so auto-skip below 4
+  // hardware threads. The serial side is its own `hglift shard --shards 1`
+  // process, like the workers: timed in this process, it would run on a
+  // heap that phases 1-3 already warmed. Every timed run must merge the
+  // bytes of an in-process serial run over the same corpus.
   unsigned HwThreads = std::thread::hardware_concurrency();
   bool ScalingSkipped = Smoke || HwThreads < 4;
+  std::vector<std::string> ScalePaths;
   PairedTiming Scale;
   bool ScalingPass = true, ScaleIdentical = true;
   if (!ScalingSkipped) {
-    Scale = timePairs(Paths, WorkRoot + "/scale_1", {"--shards", "1"},
-                      WorkRoot + "/scale_4", {"--shards", "4"});
-    ScaleIdentical = Scale.Ok && Scale.Report == Serial.Report;
+    ScalePaths = scalingCorpusToDisk(WorkRoot + "/scale_elfs");
+    ShardRun Ref = runShardMode(ScalePaths, WorkRoot + "/scale_ref", 1,
+                                /*Library=*/true);
+    Scale = timePairs(ScalePaths, WorkRoot + "/scale_1",
+                      {"--library", "--shards", "1"}, WorkRoot + "/scale_4",
+                      {"--library", "--shards", "4"});
+    ScaleIdentical = Ref.Ok && Scale.Ok && Scale.Report == Ref.Report;
     ScalingPass = ScaleIdentical && Scale.Ratio >= 1.3;
-    std::printf("scaling: serial %.3fs vs 4 workers %.3fs = %.2fx "
-                "(medians of %d alternating pairs, %u hw threads); bytes "
-                "%s\n\n",
-                Scale.AMedian, Scale.BMedian, Scale.Ratio, TimedPairs,
-                HwThreads, ScaleIdentical ? "identical" : "DIFFER");
+    std::printf("scaling (%zu libraries): serial %.3fs vs 4 workers %.3fs = "
+                "%.2fx (medians of %d alternating pairs, %u hw threads); "
+                "bytes %s\n\n",
+                ScalePaths.size(), Scale.AMedian, Scale.BMedian, Scale.Ratio,
+                TimedPairs, HwThreads,
+                ScaleIdentical ? "identical" : "DIFFER");
   } else {
     std::printf("scaling: skipped (%s)\n\n",
                 Smoke ? "smoke mode"
@@ -750,6 +765,7 @@ int main(int argc, char **argv) {
       << "  },\n"
       << "  \"scaling\": {\n"
       << "    \"skipped\": " << (ScalingSkipped ? "true" : "false") << ",\n"
+      << "    \"corpus_binaries\": " << ScalePaths.size() << ",\n"
       << "    \"serial_walls\": " << jsonList(Scale.AWalls) << ",\n"
       << "    \"four_worker_walls\": " << jsonList(Scale.BWalls) << ",\n"
       << "    \"serial_median_seconds\": " << jsonNum(Scale.AMedian) << ",\n"

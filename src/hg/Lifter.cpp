@@ -160,15 +160,14 @@ FunctionResult Lifter::liftFunction(uint64_t Entry) {
   if (Cfg.Cache)
     if (std::optional<FunctionResult> Hit = Cfg.Cache->lookup(Img, Cfg, Entry))
       return std::move(*Hit);
-  auto Arena = std::make_shared<LiftArena>(Img, Cfg);
-  FunctionResult FR = liftFunctionIn(*Arena, Entry);
-  FR.Arena = std::move(Arena);
+  FunctionResult FR = liftUncached(Entry);
   if (Cfg.Cache && FR.Outcome == LiftOutcome::Lifted)
     Cfg.Cache->store(Img, Cfg, FR);
   return FR;
 }
 
-FunctionResult Lifter::liftFunctionIn(LiftArena &A, uint64_t Entry) {
+FunctionResult Lifter::liftUncached(uint64_t Entry) {
+  // The function clock covers the arena's construction too.
   auto Start = std::chrono::steady_clock::now();
   auto Elapsed = [&]() {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -176,6 +175,8 @@ FunctionResult Lifter::liftFunctionIn(LiftArena &A, uint64_t Entry) {
         .count();
   };
 
+  auto Arena = std::make_shared<LiftArena>(Img, Cfg);
+  LiftArena &A = *Arena;
   expr::ExprContext &Ctx = A.ctx();
   sem::SymExec &Exec = A.exec();
 
@@ -190,6 +191,7 @@ FunctionResult Lifter::liftFunctionIn(LiftArena &A, uint64_t Entry) {
 
   FunctionResult FR;
   FR.Entry = Entry;
+  FR.Arena = Arena;
   FR.RetSym = Ctx.mkVar(VarClass::RetSym, "S_" + hexStr(Entry), 64, Entry);
 
   Exec.setStats(&FR.Stats);
@@ -282,8 +284,6 @@ FunctionResult Lifter::liftFunctionIn(LiftArena &A, uint64_t Entry) {
     FR.ResolvedIndirections = static_cast<unsigned>(ResolvedSites.size());
     FR.UnresolvedJumps = static_cast<unsigned>(UnresJumpSites.size());
     FR.UnresolvedCalls = static_cast<unsigned>(UnresCallSites.size());
-    FR.Seconds = Elapsed();
-    FR.Stats.Seconds = FR.Seconds;
     // Overlapping-instruction edges are residual overapproximations too:
     // surface each as an annotation with the edge in its provenance.
     for (const Edge &W : G.weirdEdges()) {
@@ -310,6 +310,8 @@ FunctionResult Lifter::liftFunctionIn(LiftArena &A, uint64_t Entry) {
                      });
     for (diag::Diagnostic &D : FR.Diags)
       D.Prov.FunctionEntry = Entry;
+    FR.Seconds = Elapsed();
+    FR.Stats.Seconds = FR.Seconds;
     // FR is about to move out of this frame; the arena must not keep sinks
     // into it (consumers may re-run the arena's executor, e.g. HoareChecker).
     Exec.setStats(nullptr);

@@ -130,6 +130,8 @@ struct FunctionResult {
   /// any thread count.
   std::vector<diag::Diagnostic> Diags;
   std::set<uint64_t> Callees;
+  /// Wall time of the lift, from arena construction through the
+  /// weird-edge pass.
   double Seconds = 0;
   /// What Algorithm 1 did here (vertices, joins, solver calls, ...).
   LiftStats Stats;
@@ -212,7 +214,8 @@ public:
 
 private:
   BinaryResult liftFrom(std::vector<uint64_t> Roots);
-  FunctionResult liftFunctionIn(LiftArena &A, uint64_t Entry);
+  /// Algorithm 1 for one function, in a fresh arena.
+  FunctionResult liftUncached(uint64_t Entry);
   uint64_t ctrlHash(const sem::SymState &S) const;
 
   const elf::BinaryImage &Img;

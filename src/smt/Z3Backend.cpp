@@ -17,7 +17,7 @@ using pred::RelOp;
 
 struct Z3Backend::Impl {
   z3::context C;
-  /// Expression-translation memo. Bounded: boundTransCache() clears it
+  /// Expression-translation memo. Bounded: Z3Backend::impl() clears it
   /// between top-level queries once it exceeds MaxCacheEntries, so a long
   /// lifting run over many functions cannot grow it without limit.
   std::unordered_map<const Expr *, z3::expr> Cache;
@@ -150,21 +150,24 @@ struct Z3Backend::Impl {
   }
 };
 
-Z3Backend::Z3Backend() : I(new Impl()) {}
-Z3Backend::~Z3Backend() { delete I; }
+Z3Backend::Z3Backend() = default;
+Z3Backend::~Z3Backend() = default;
 
-void Z3Backend::boundTransCache() {
-  if (I->Cache.size() <= Impl::MaxCacheEntries)
-    return;
-  I->Cache.clear();
-  ++Evictions;
+Z3Backend::Impl &Z3Backend::impl() {
+  if (!I)
+    I = std::make_unique<Impl>();
+  else if (I->Cache.size() > Impl::MaxCacheEntries) {
+    I->Cache.clear();
+    ++Evictions;
+  }
+  return *I;
 }
 
 MemRel Z3Backend::query(const Region &R0, const Region &R1,
                         const pred::Pred &P, const ExprContext &Ctx,
                         bool Persistent) {
   ++Queries;
-  boundTransCache();
+  Impl &Z = impl();
   try {
     // Pick the solver. Persistent mode keeps one solver alive and only
     // re-asserts the predicate's range clauses when the version stamp
@@ -174,36 +177,36 @@ MemRel Z3Backend::query(const Region &R0, const Region &R1,
     std::optional<z3::solver> Fresh;
     z3::solver *SP = nullptr;
     if (Persistent) {
-      if (!I->Persist) {
-        I->Persist.emplace(I->C);
-        I->PersistValid = false;
+      if (!Z.Persist) {
+        Z.Persist.emplace(Z.C);
+        Z.PersistValid = false;
       }
-      SP = &*I->Persist;
-      if (!I->PersistValid || I->PersistVer != P.version()) {
-        I->PersistValid = false;
+      SP = &*Z.Persist;
+      if (!Z.PersistValid || Z.PersistVer != P.version()) {
+        Z.PersistValid = false;
         SP->reset();
         SP->set("timeout", 200u); // per-check millisecond budget
         for (const RangeClause &RC : P.ranges())
-          SP->add(I->rangeConstraint(RC, Ctx));
-        I->PersistVer = P.version();
-        I->PersistValid = true;
+          SP->add(Z.rangeConstraint(RC, Ctx));
+        Z.PersistVer = P.version();
+        Z.PersistValid = true;
         ++CtxResets;
       } else {
         ++CtxReuses;
       }
     } else {
-      Fresh.emplace(I->C);
+      Fresh.emplace(Z.C);
       SP = &*Fresh;
       SP->set("timeout", 200u); // per-check millisecond budget
       for (const RangeClause &RC : P.ranges())
-        SP->add(I->rangeConstraint(RC, Ctx));
+        SP->add(Z.rangeConstraint(RC, Ctx));
     }
     z3::solver &S = *SP;
 
-    z3::expr A0 = I->translate(R0.Addr, Ctx);
-    z3::expr A1 = I->translate(R1.Addr, Ctx);
-    z3::expr S0 = I->C.bv_val(static_cast<uint64_t>(R0.Size), 64);
-    z3::expr S1 = I->C.bv_val(static_cast<uint64_t>(R1.Size), 64);
+    z3::expr A0 = Z.translate(R0.Addr, Ctx);
+    z3::expr A1 = Z.translate(R1.Addr, Ctx);
+    z3::expr S0 = Z.C.bv_val(static_cast<uint64_t>(R0.Size), 64);
+    z3::expr S1 = Z.C.bv_val(static_cast<uint64_t>(R1.Size), 64);
 
     // Each probe runs in its own push/pop frame so the base assertions
     // survive for the next probe — and, in persistent mode, for the next
@@ -231,7 +234,7 @@ MemRel Z3Backend::query(const Region &R0, const Region &R1,
   } catch (const z3::exception &) {
     // A mid-probe failure may leave an unbalanced frame on the persistent
     // solver; force a reset on its next use.
-    I->PersistValid = false;
+    Z.PersistValid = false;
     return MemRel::Unknown;
   }
 }
@@ -239,13 +242,13 @@ MemRel Z3Backend::query(const Region &R0, const Region &R1,
 bool Z3Backend::mustEqual(const Expr *E0, const Expr *E1, const pred::Pred &P,
                           const ExprContext &Ctx) {
   ++Queries;
-  boundTransCache();
+  Impl &Z = impl();
   try {
-    z3::solver S(I->C);
+    z3::solver S(Z.C);
     S.set("timeout", 200u);
     for (const RangeClause &RC : P.ranges())
-      S.add(I->rangeConstraint(RC, Ctx));
-    S.add(I->translate(E0, Ctx) != I->translate(E1, Ctx));
+      S.add(Z.rangeConstraint(RC, Ctx));
+    S.add(Z.translate(E0, Ctx) != Z.translate(E1, Ctx));
     return S.check() == z3::unsat;
   } catch (const z3::exception &) {
     return false;

@@ -4,12 +4,25 @@
 #include "corpus/Programs.h"
 #include "hg/Lifter.h"
 #include "semantics/Machine.h"
+#include "support/Format.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <memory>
+#include <unistd.h>
 
 using namespace hglift;
 using namespace hglift::x86;
 using corpus::ProgramBuilder;
+
+namespace hglift::hg {
+// Failure messages show an edge as "from -> to".
+void PrintTo(const Edge &E, std::ostream *OS) {
+  *OS << hexStr(E.From.Rip) << " -> " << hexStr(E.To.Rip);
+}
+} // namespace hglift::hg
 
 namespace {
 
@@ -364,6 +377,156 @@ TEST(Lifter, RecursionConcreteAgreesWithLift) {
   M.setReg(Reg::RDI, 6);
   ASSERT_EQ(M.run(10000), sem::Machine::Status::Returned);
   EXPECT_EQ(M.reg(Reg::RAX), 720u);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+uint64_t residentBytes() {
+  std::ifstream F("/proc/self/statm");
+  uint64_t Size = 0, Resident = 0;
+  F >> Size >> Resident;
+  return Resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(LiftArena, NoZ3StateUntilFirstQuery) {
+  // An arena builds its Z3 context on the first residual query, so arenas
+  // whose queries all settle in the cheaper tiers stay small. (An eager
+  // context costs ~16 MB per arena.)
+  auto BB = corpus::callChainBinary();
+  ASSERT_TRUE(BB.has_value());
+  hg::LiftConfig Cfg;
+  ASSERT_TRUE(Cfg.Solver.UseZ3);
+  constexpr unsigned N = 64;
+  constexpr uint64_t PerArenaBound = 1 << 20;
+  std::vector<std::unique_ptr<hg::LiftArena>> Arenas;
+  uint64_t Before = residentBytes();
+  auto Growth = [Before] {
+    uint64_t Now = residentBytes();
+    return Now > Before ? Now - Before : 0;
+  };
+  for (unsigned I = 0; I < N; ++I) {
+    Arenas.push_back(std::make_unique<hg::LiftArena>(BB->Img, Cfg));
+    // Stop allocating once the bound is already broken.
+    if (Growth() > N * PerArenaBound)
+      break;
+  }
+  uint64_t Grew = Growth();
+  EXPECT_LT(Grew / Arenas.size(), PerArenaBound)
+      << Arenas.size() << " arenas grew the resident set by " << Grew
+      << " bytes";
+}
+
+/// The definition weirdEdges() implements, as one scan over every vertex
+/// per edge: an edge is weird when its target lies strictly inside the
+/// byte range of some explored, decoded instruction.
+std::vector<hg::Edge> weirdEdgesReference(const hg::HoareGraph &G) {
+  std::vector<hg::Edge> Out;
+  for (const hg::Edge &E : G.Edges) {
+    uint64_t T = E.To.Rip;
+    if (T == hg::RetTargetRip || T == hg::UnresolvedTargetRip)
+      continue;
+    for (const auto &[K, V] : G.Vertices) {
+      if (!V.Explored || !V.Instr.isValid())
+        continue;
+      if (T > V.Instr.Addr && T < V.Instr.Addr + V.Instr.Length) {
+        Out.push_back(E);
+        break;
+      }
+    }
+  }
+  return Out;
+}
+
+void addInstr(hg::HoareGraph &G, uint64_t Addr, uint8_t Length,
+              uint64_t CtrlHash = 0, bool Explored = true,
+              Mnemonic Mn = Mnemonic::Mov) {
+  hg::Vertex &V = G.Vertices[hg::VertexKey{Addr, CtrlHash}];
+  V.Key = hg::VertexKey{Addr, CtrlHash};
+  V.Explored = Explored;
+  V.Instr.Addr = Addr;
+  V.Instr.Length = Length;
+  V.Instr.Mn = Mn;
+}
+
+void addEdgeTo(hg::HoareGraph &G, uint64_t From, uint64_t To) {
+  hg::Edge E;
+  E.From = hg::VertexKey{From, 0};
+  E.To = hg::VertexKey{To, 0};
+  G.Edges.push_back(E);
+}
+
+std::vector<uint64_t> targets(const std::vector<hg::Edge> &Edges) {
+  std::vector<uint64_t> Out;
+  for (const hg::Edge &E : Edges)
+    Out.push_back(E.To.Rip);
+  return Out;
+}
+
+TEST(WeirdEdges, SpanBoundaries) {
+  hg::HoareGraph G;
+  addInstr(G, 0x1000, 5); // [0x1000, 0x1005)
+  addInstr(G, 0x2000, 16);
+  addInstr(G, 0x2002, 2); // nested; ends before 0x2008
+  addInstr(G, 0x3000, 4, 0, /*Explored=*/false);
+  addInstr(G, 0x3100, 4, 0, true, Mnemonic::Invalid);
+  addInstr(G, 0x3200, 1);
+  for (uint64_t T : {0x1000, 0x1001, 0x1004, 0x1005, 0x2008, 0x2003, 0x3001,
+                     0x3101, 0x3200, 0x3201, 0xfff})
+    addEdgeTo(G, 0x1000, T);
+  addEdgeTo(G, 0x1000, hg::RetTargetRip);
+  addEdgeTo(G, 0x1000, hg::UnresolvedTargetRip);
+  // First byte and one past the last byte are not inside; the enclosing
+  // span reaches 0x2008 past the nested one; unexplored and undecoded
+  // vertices have no span; a one-byte instruction has no interior.
+  EXPECT_EQ(targets(G.weirdEdges()),
+            (std::vector<uint64_t>{0x1001, 0x1004, 0x2008, 0x2003}));
+  EXPECT_EQ(G.weirdEdges(), weirdEdgesReference(G));
+}
+
+TEST(WeirdEdges, MatchesReferenceOnRandomGraphs) {
+  Rng R(0x5ea);
+  for (unsigned Round = 0; Round < 300; ++Round) {
+    hg::HoareGraph G;
+    uint64_t Base = R.chance(1, 10) ? ~uint64_t(0) - 64 : 0x401000;
+    unsigned NV = static_cast<unsigned>(R.range(0, 40));
+    std::vector<uint64_t> Addrs;
+    for (unsigned I = 0; I < NV; ++I) {
+      uint64_t A = Base + R.below(160);
+      addInstr(G, A, static_cast<uint8_t>(R.range(0, 15)), R.below(3),
+               !R.chance(1, 8),
+               R.chance(1, 10) ? Mnemonic::Invalid : Mnemonic::Mov);
+      Addrs.push_back(A);
+    }
+    unsigned NE = static_cast<unsigned>(R.range(0, 60));
+    for (unsigned I = 0; I < NE; ++I) {
+      uint64_t T;
+      switch (R.below(4)) {
+      case 0:
+        T = Addrs.empty() ? Base : R.pick(Addrs); // an instruction start
+        break;
+      case 1:
+        T = R.chance(1, 2) ? hg::RetTargetRip : hg::UnresolvedTargetRip;
+        break;
+      default:
+        T = Base + R.below(176);
+      }
+      addEdgeTo(G, Addrs.empty() ? Base : R.pick(Addrs), T);
+    }
+    ASSERT_EQ(G.weirdEdges(), weirdEdgesReference(G)) << "round " << Round;
+  }
+}
+
+TEST(WeirdEdges, MatchesReferenceOnOverlappingCorpus) {
+  for (auto BB : {corpus::weirdEdgeBinary(), corpus::overlappingBinary()}) {
+    ASSERT_TRUE(BB.has_value());
+    hg::BinaryResult R = hg::Lifter(BB->Img, hg::LiftConfig()).liftBinary();
+    size_t Weird = 0;
+    for (const hg::FunctionResult &F : R.Functions) {
+      std::vector<hg::Edge> Got = F.Graph.weirdEdges();
+      EXPECT_EQ(Got, weirdEdgesReference(F.Graph)) << BB->Img.Name;
+      Weird += Got.size();
+    }
+    EXPECT_GT(Weird, 0u) << BB->Img.Name;
+  }
 }
 
 } // namespace
