@@ -519,15 +519,21 @@ std::string Expr::str(const ExprContext &Ctx) const {
 }
 
 LinearForm linearize(const Expr *E) {
-  LinearForm LF;
+  // Coefficients and the constant wrap modulo 2^64 like the expressions
+  // they come from, so the arithmetic runs in uint64_t (signed overflow
+  // would be undefined) and is read back as two's-complement int64_t.
+  uint64_t Constant = 0;
+  std::vector<std::pair<uint64_t, const Expr *>> Terms;
   // Worklist of (coefficient, expr) pairs.
-  std::vector<std::pair<int64_t, const Expr *>> Work{{1, E}};
+  std::vector<std::pair<uint64_t, const Expr *>> Work{{1, E}};
+  auto sext = [](const Expr *K, unsigned W) {
+    return static_cast<uint64_t>(signExtend(K->constVal(), W));
+  };
   while (!Work.empty()) {
     auto [C, X] = Work.back();
     Work.pop_back();
     if (X->isConst()) {
-      LF.Constant += C * static_cast<int64_t>(
-                             signExtend(X->constVal(), X->width()));
+      Constant += C * sext(X, X->width());
       continue;
     }
     if (X->isOp()) {
@@ -538,17 +544,14 @@ LinearForm linearize(const Expr *E) {
         continue;
       case Opcode::Sub:
         Work.push_back({C, X->operand(0)});
-        Work.push_back({-C, X->operand(1)});
+        Work.push_back({0 - C, X->operand(1)});
         continue;
       case Opcode::Neg:
-        Work.push_back({-C, X->operand(0)});
+        Work.push_back({0 - C, X->operand(0)});
         continue;
       case Opcode::Mul:
         if (X->operand(1)->isConst()) {
-          Work.push_back(
-              {C * static_cast<int64_t>(signExtend(X->operand(1)->constVal(),
-                                                   X->width())),
-               X->operand(0)});
+          Work.push_back({C * sext(X->operand(1), X->width()), X->operand(0)});
           continue;
         }
         break;
@@ -556,22 +559,23 @@ LinearForm linearize(const Expr *E) {
         break;
       }
     }
-    LF.Terms.push_back({C, X});
+    Terms.push_back({C, X});
   }
   // Canonical order + coefficient merging.
-  std::sort(LF.Terms.begin(), LF.Terms.end(),
+  std::sort(Terms.begin(), Terms.end(),
             [](const auto &A, const auto &B) { return A.second < B.second; });
-  std::vector<std::pair<int64_t, const Expr *>> Merged;
-  for (auto &[C, X] : LF.Terms) {
+  std::vector<std::pair<uint64_t, const Expr *>> Merged;
+  for (auto &[C, X] : Terms) {
     if (!Merged.empty() && Merged.back().second == X)
       Merged.back().first += C;
     else
       Merged.push_back({C, X});
   }
-  Merged.erase(std::remove_if(Merged.begin(), Merged.end(),
-                              [](const auto &T) { return T.first == 0; }),
-               Merged.end());
-  LF.Terms = std::move(Merged);
+  LinearForm LF;
+  LF.Constant = static_cast<int64_t>(Constant);
+  for (auto &[C, X] : Merged)
+    if (C != 0)
+      LF.Terms.push_back({static_cast<int64_t>(C), X});
   return LF;
 }
 

@@ -221,7 +221,8 @@ bool reduceAndWrite(const Mutant &M, const FuzzOptions &Opts,
     return !P.CheckFailures.empty() || !P.Oracle.Violations.empty();
   };
 
-  ReduceResult RR = reduceBinary(S.BB->ElfBytes, Clean, fails);
+  ReduceResult RR =
+      reduceBinary(S.BB->ElfBytes, reductionAtoms(Clean), fails);
   Rec.Steps = RR.PredicateCalls;
   size_t OrigInstr = 0, OrigFns = 0;
   for (const hg::FunctionResult &F : Clean.Functions)
@@ -413,7 +414,8 @@ CampaignResult runCampaign(const FuzzOptions &Opts, std::ostream &Log) {
                                     Opts.OracleRuns);
         return !P.CheckFailures.empty() || !P.Oracle.Violations.empty();
       };
-      ReduceResult RR = reduceBinary(S.BB->ElfBytes, Clean, fails);
+      ReduceResult RR =
+          reduceBinary(S.BB->ElfBytes, reductionAtoms(Clean), fails);
       Rec.Steps = RR.PredicateCalls;
       Rec.FunctionsAfter = RR.FunctionsLeft;
       Rec.InstructionsAfter = RR.InstructionsLeft;

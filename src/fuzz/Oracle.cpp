@@ -22,12 +22,19 @@ using x86::regFromNum;
 using x86::regName;
 
 expr::VarValuation OracleCtx::vars() const {
+  // Names of the init-register variables ("rax0", ...), by register number.
+  static const std::array<std::string, NumGPRs> InitNames = [] {
+    std::array<std::string, NumGPRs> N;
+    for (unsigned RI = 0; RI < NumGPRs; ++RI)
+      N[RI] = regName(regFromNum(RI)) + "0";
+    return N;
+  }();
   return [this](uint32_t Id) -> uint64_t {
     const expr::VarInfo &VI = Ctx->varInfo(Id);
     if (VI.Cls == expr::VarClass::RetSym || VI.Cls == expr::VarClass::RetAddr)
       return RetAddr;
     for (unsigned RI = 0; RI < NumGPRs; ++RI)
-      if (VI.Name == regName(regFromNum(RI)) + "0")
+      if (VI.Name == InitNames[RI])
         return Init[RI];
     return 0; // Fresh/External: callers skip clauses with fresh leaves
   };
@@ -263,25 +270,60 @@ std::vector<const hg::Vertex *> verticesAt(const hg::FunctionResult &F,
   return Out;
 }
 
+namespace {
+
+/// The stop rule walkFrom and arrivesAt share: a walk goes on only while
+/// some explored vertex of F sits at the concrete rip. Control elsewhere
+/// has left the function (a callee frame, an external stub).
+bool walkContinuesAt(const hg::FunctionResult &F, uint64_t Rip) {
+  for (auto It = F.Graph.Vertices.lower_bound(hg::VertexKey{Rip, 0});
+       It != F.Graph.Vertices.end() && It->first.Rip == Rip; ++It)
+    if (It->second.Explored)
+      return true;
+  return false;
+}
+
+/// The concrete entry state of both walks: a call frame at F.Entry, every
+/// register but RSP from InitRegs.
+Machine entryMachine(const elf::BinaryImage &Img, const hg::FunctionResult &F,
+                     const std::array<uint64_t, NumGPRs> &InitRegs,
+                     uint64_t MachineSeed) {
+  Machine M(Img, MachineSeed);
+  M.setupCall(F.Entry);
+  for (unsigned RI = 0; RI < NumGPRs; ++RI)
+    if (regFromNum(RI) != Reg::RSP)
+      M.setReg(regFromNum(RI), InitRegs[RI]);
+  return M;
+}
+
+} // namespace
+
+bool arrivesAt(const elf::BinaryImage &Img, const hg::FunctionResult &F,
+               const std::array<uint64_t, NumGPRs> &InitRegs,
+               uint64_t MachineSeed, uint64_t Site, int MaxSteps) {
+  Machine M = entryMachine(Img, F, InitRegs, MachineSeed);
+  for (int Step = 0; Step < MaxSteps; ++Step) {
+    if (!walkContinuesAt(F, M.Rip))
+      return false;
+    if (M.Rip == Site)
+      return true;
+    if (M.step() != Machine::Status::Running)
+      return false;
+  }
+  return false;
+}
+
 WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
                     const std::array<uint64_t, x86::NumGPRs> &InitRegs,
                     uint64_t MachineSeed, int MaxSteps) {
   assert(!sem::installedStepMutator() &&
          "oracle must run with clean semantics");
   WalkResult Out;
-  Machine M(Img, MachineSeed);
-  M.setupCall(F.Entry);
+  Machine M = entryMachine(Img, F, InitRegs, MachineSeed);
 
   OracleCtx CC(Img);
   CC.Ctx = &F.ctx();
-  for (unsigned RI = 0; RI < NumGPRs; ++RI) {
-    if (regFromNum(RI) == Reg::RSP) {
-      CC.Init[RI] = M.reg(Reg::RSP);
-      continue;
-    }
-    CC.Init[RI] = InitRegs[RI];
-    M.setReg(regFromNum(RI), CC.Init[RI]);
-  }
+  CC.Init = M.Regs;
   CC.RetAddr = M.load(M.reg(Reg::RSP), 8);
   CC.EntryM = M;
 
@@ -298,9 +340,9 @@ WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
 
   for (int Step = 0; Step < MaxSteps; ++Step) {
     uint64_t Rip = M.Rip;
+    if (!walkContinuesAt(F, Rip))
+      break;
     auto Vs = verticesAt(F, Rip);
-    if (Vs.empty())
-      break; // control left this function (callee frame, external stub)
 
     // Property 1: some invariant at this rip covers the concrete state.
     ++Out.States;

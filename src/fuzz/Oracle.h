@@ -149,6 +149,16 @@ WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
                     const std::array<uint64_t, x86::NumGPRs> &InitRegs,
                     uint64_t MachineSeed, int MaxSteps = 300);
 
+/// Does the walkFrom run from the same entry state bring Site's rip up?
+/// Runs the bare Machine under walkFrom's own stop rules (no explored
+/// vertex at the rip, any non-Running status, MaxSteps) without the
+/// admission checks. walkFrom executes the same machine steps and never
+/// stops later, so a false answer means no walkFrom run can execute Site,
+/// report a violation at it, or report one right after it.
+bool arrivesAt(const elf::BinaryImage &Img, const hg::FunctionResult &F,
+               const std::array<uint64_t, x86::NumGPRs> &InitRegs,
+               uint64_t MachineSeed, uint64_t Site, int MaxSteps = 300);
+
 /// Walk one concrete run through F's Hoare Graph, appending any violations
 /// to Out. The walk starts at F.Entry with a random register file drawn
 /// from R and follows the machine until control leaves the function.

@@ -4,18 +4,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 namespace hglift::fuzz {
 
 namespace {
-
-/// One reducible atom.
-struct Unit {
-  uint64_t Addr;
-  uint8_t Len;
-  uint32_t Func; ///< index into CleanLift.Functions
-};
 
 /// Minimal ELF64 program-header walk: vaddr -> file offset for PT_LOAD
 /// segments. The corpus emits well-formed little-endian ELF64, which is
@@ -63,60 +55,58 @@ struct SegMap {
 
 } // namespace
 
-ReduceResult reduceBinary(const std::vector<uint8_t> &ElfBytes,
-                          const hg::BinaryResult &CleanLift,
-                          const FailurePredicate &Fails,
-                          size_t MaxPredicateCalls) {
-  ReduceResult Res;
-  Res.Bytes = ElfBytes;
-
-  // Collect atoms from the clean lift, deduplicated by address (functions
-  // reached both as roots and as callees would otherwise double-count).
-  std::map<uint64_t, Unit> ByAddr;
+ReductionAtoms reductionAtoms(const hg::BinaryResult &CleanLift) {
+  using Unit = ReductionAtoms::Unit;
+  ReductionAtoms Out;
+  Out.NumFunctions = CleanLift.Functions.size();
   for (uint32_t FI = 0; FI < CleanLift.Functions.size(); ++FI) {
     const hg::FunctionResult &F = CleanLift.Functions[FI];
     if (F.Outcome != hg::LiftOutcome::Lifted)
       continue;
-    for (const auto &[Key, V] : F.Graph.Vertices) {
-      if (!V.Explored || !V.Instr.isValid())
-        continue;
-      auto It = ByAddr.find(Key.Rip);
-      if (It == ByAddr.end())
-        ByAddr.emplace(Key.Rip,
-                       Unit{Key.Rip, static_cast<uint8_t>(V.Instr.Length), FI});
-    }
+    for (const auto &[Key, V] : F.Graph.Vertices)
+      if (V.Explored && V.Instr.isValid())
+        Out.Units.push_back(
+            Unit{Key.Rip, static_cast<uint8_t>(V.Instr.Length), FI});
   }
-  std::vector<Unit> Units;
-  Units.reserve(ByAddr.size());
-  for (auto &[A, U] : ByAddr)
-    Units.push_back(U);
+  // Address order; the stable sort keeps the first vertex (of the first
+  // function) that claims an address.
+  std::stable_sort(Out.Units.begin(), Out.Units.end(),
+                   [](const Unit &A, const Unit &B) { return A.Addr < B.Addr; });
+  Out.Units.erase(std::unique(Out.Units.begin(), Out.Units.end(),
+                              [](const Unit &A, const Unit &B) {
+                                return A.Addr == B.Addr;
+                              }),
+                  Out.Units.end());
+  return Out;
+}
+
+ReduceResult reduceBinary(const std::vector<uint8_t> &ElfBytes,
+                          const ReductionAtoms &Atoms,
+                          const FailurePredicate &Fails,
+                          size_t MaxPredicateCalls) {
+  ReduceResult Res;
+  Res.Bytes = ElfBytes;
+  const std::vector<ReductionAtoms::Unit> &Units = Atoms.Units;
 
   SegMap Map(ElfBytes);
   std::vector<bool> Alive(Units.size(), true);
+  size_t NumAlive = Units.size();
 
-  auto render = [&](const std::vector<bool> &A) {
-    std::vector<uint8_t> B = ElfBytes;
-    for (size_t I = 0; I < Units.size(); ++I) {
-      if (A[I])
-        continue;
-      size_t Off = Map.offsetOf(Units[I].Addr, Units[I].Len);
-      if (Off != SIZE_MAX)
-        std::memset(B.data() + Off, 0x90, Units[I].Len); // nop
-    }
-    return B;
-  };
-
-  auto countAlive = [&](const std::vector<bool> &A) {
-    return static_cast<size_t>(std::count(A.begin(), A.end(), true));
+  // Res.Bytes always holds ElfBytes with every dead unit NOP-patched. NOP
+  // patches are idempotent and commute, so a probe is that buffer plus the
+  // patches of the units it removes.
+  auto nop = [&](std::vector<uint8_t> &B, size_t I) {
+    size_t Off = Map.offsetOf(Units[I].Addr, Units[I].Len);
+    if (Off != SIZE_MAX)
+      std::memset(B.data() + Off, 0x90, Units[I].Len);
   };
 
   // Does the unreduced input fail at all?
   ++Res.PredicateCalls;
   Res.Reproduced = Fails(ElfBytes);
   auto finish = [&]() {
-    Res.Bytes = render(Alive);
-    Res.InstructionsLeft = countAlive(Alive);
-    std::vector<bool> FnAlive(CleanLift.Functions.size(), false);
+    Res.InstructionsLeft = NumAlive;
+    std::vector<bool> FnAlive(Atoms.NumFunctions, false);
     for (size_t I = 0; I < Units.size(); ++I)
       if (Alive[I])
         FnAlive[Units[I].Func] = true;
@@ -127,29 +117,32 @@ ReduceResult reduceBinary(const std::vector<uint8_t> &ElfBytes,
   if (!Res.Reproduced || Units.empty())
     return finish();
 
-  // Try removing the units named by Idxs; keep the removal if the failure
-  // still reproduces.
+  // Try removing the units named by Idxs (distinct indices); keep the
+  // removal if the failure still reproduces.
   auto tryRemove = [&](const std::vector<size_t> &Idxs) {
     if (Idxs.empty() || Res.PredicateCalls >= MaxPredicateCalls)
       return false;
-    std::vector<bool> Cand = Alive;
-    bool Any = false;
+    size_t Removed = 0;
     for (size_t I : Idxs)
-      if (Cand[I]) {
-        Cand[I] = false;
-        Any = true;
-      }
-    if (!Any || countAlive(Cand) == 0)
+      Removed += Alive[I];
+    if (!Removed || Removed == NumAlive)
       return false;
+    std::vector<uint8_t> Probe = Res.Bytes;
+    for (size_t I : Idxs)
+      if (Alive[I])
+        nop(Probe, I);
     ++Res.PredicateCalls;
-    if (!Fails(render(Cand)))
+    if (!Fails(Probe))
       return false;
-    Alive = std::move(Cand);
+    for (size_t I : Idxs)
+      Alive[I] = false;
+    NumAlive -= Removed;
+    Res.Bytes = std::move(Probe);
     return true;
   };
 
   // Level 1: whole functions, in index order.
-  for (uint32_t FI = 0; FI < CleanLift.Functions.size(); ++FI) {
+  for (uint32_t FI = 0; FI < Atoms.NumFunctions; ++FI) {
     std::vector<size_t> Idxs;
     for (size_t I = 0; I < Units.size(); ++I)
       if (Alive[I] && Units[I].Func == FI)
@@ -159,7 +152,7 @@ ReduceResult reduceBinary(const std::vector<uint8_t> &ElfBytes,
 
   // Levels 2..n: halving chunks of the surviving instruction list, down
   // to single instructions, then single-instruction passes to a fixpoint.
-  size_t Sz = std::max<size_t>(1, countAlive(Alive) / 2);
+  size_t Sz = std::max<size_t>(1, NumAlive / 2);
   while (Res.PredicateCalls < MaxPredicateCalls) {
     std::vector<size_t> Live;
     for (size_t I = 0; I < Units.size(); ++I)

@@ -38,14 +38,29 @@ struct ReduceResult {
   bool Converged = false;       ///< single-instruction fixpoint reached
 };
 
-/// Reduce ElfBytes. CleanLift must be the unmutated lift of the same
-/// bytes: its graphs supply the instruction atoms (address + length), and
-/// the vaddr -> file-offset mapping is derived from the ELF program
-/// headers in ElfBytes itself. MaxPredicateCalls bounds the work; when
-/// the budget runs out the best reduction so far is returned with
-/// Converged = false.
+/// The reduction atoms of one binary: every explored, decoded instruction
+/// of its clean lift, deduplicated by address (functions reached both as
+/// roots and as callees would otherwise double-count), in address order.
+/// Collect them once per binary; every reduction over it reuses them.
+struct ReductionAtoms {
+  struct Unit {
+    uint64_t Addr;
+    uint8_t Len;
+    uint32_t Func; ///< index into the clean lift's Functions
+  };
+  std::vector<Unit> Units;
+  size_t NumFunctions = 0; ///< the clean lift's Functions.size()
+};
+
+/// CleanLift must be the unmutated lift of the bytes being reduced.
+ReductionAtoms reductionAtoms(const hg::BinaryResult &CleanLift);
+
+/// Reduce ElfBytes over the atoms of its clean lift. The vaddr ->
+/// file-offset mapping is derived from the ELF program headers in
+/// ElfBytes itself. MaxPredicateCalls bounds the work; when the budget
+/// runs out the best reduction so far is returned with Converged = false.
 ReduceResult reduceBinary(const std::vector<uint8_t> &ElfBytes,
-                          const hg::BinaryResult &CleanLift,
+                          const ReductionAtoms &Atoms,
                           const FailurePredicate &Fails,
                           size_t MaxPredicateCalls = 400);
 

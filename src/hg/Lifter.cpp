@@ -652,54 +652,73 @@ BinaryResult Lifter::liftFrom(std::vector<uint64_t> Roots) {
     BR.Functions.push_back(std::move(FR));
   }
 
-  // §4.2.2 reachability: a call's return site is only truly reachable if
-  // the callee may return. Compute the may-return fixpoint over the call
-  // graph (monotone decreasing), then drop unreachable vertices/edges.
-  std::map<uint64_t, FunctionResult *> ByEntry;
-  for (FunctionResult &F : BR.Functions)
-    ByEntry[F.Entry] = &F;
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (FunctionResult &F : BR.Functions) {
-      if (!F.MayReturn)
-        continue;
-      // Recompute: is a Ret edge reachable from the entry, given callees'
-      // current may-return state?
-      std::set<VertexKey> Seen{F.Graph.Initial};
-      std::deque<VertexKey> Q{F.Graph.Initial};
-      bool RetReachable = false;
-      while (!Q.empty()) {
-        VertexKey K = Q.front();
-        Q.pop_front();
-        for (const Edge &E : F.Graph.Edges) {
-          if (!(E.From == K))
-            continue;
-          if (E.To.Rip == RetTargetRip) {
-            RetReachable = true;
-            continue;
-          }
-          if (E.Kind == CtrlKind::CallInternal) {
-            auto It = ByEntry.find(E.CalleeAddr);
-            if (It != ByEntry.end() && !It->second->MayReturn)
-              continue; // return site unreachable
-          }
-          if (Seen.insert(E.To).second)
-            Q.push_back(E.To);
-        }
-      }
-      if (!RetReachable) {
-        F.MayReturn = false;
-        Changed = true;
-      }
-    }
-  }
-
+  computeMayReturn(BR.Functions);
   BR.Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
   return BR;
+}
+
+void computeMayReturn(std::vector<FunctionResult> &Functions) {
+  std::map<uint64_t, const FunctionResult *> ByEntry;
+  for (const FunctionResult &F : Functions)
+    ByEntry[F.Entry] = &F;
+
+  // Each function's edges sorted by source vertex, built once: every round
+  // re-walks every function that may still return.
+  std::vector<std::vector<const Edge *>> OutEdges(Functions.size());
+  for (size_t FI = 0; FI < Functions.size(); ++FI) {
+    if (!Functions[FI].MayReturn)
+      continue;
+    std::vector<const Edge *> &Out = OutEdges[FI];
+    for (const Edge &E : Functions[FI].Graph.Edges)
+      Out.push_back(&E);
+    std::stable_sort(Out.begin(), Out.end(),
+                     [](const Edge *A, const Edge *B) {
+                       return A->From < B->From;
+                     });
+  }
+
+  // Is a Ret edge reachable from the entry, given callees' current
+  // may-return state?
+  auto retReachable = [&](size_t FI) {
+    const std::vector<const Edge *> &Out = OutEdges[FI];
+    const VertexKey Initial = Functions[FI].Graph.Initial;
+    std::set<VertexKey> Seen{Initial};
+    std::deque<VertexKey> Q{Initial};
+    while (!Q.empty()) {
+      VertexKey K = Q.front();
+      Q.pop_front();
+      for (auto It = std::lower_bound(Out.begin(), Out.end(), K,
+                                      [](const Edge *E, const VertexKey &K) {
+                                        return E->From < K;
+                                      });
+           It != Out.end() && (*It)->From == K; ++It) {
+        const Edge &E = **It;
+        if (E.To.Rip == RetTargetRip)
+          return true;
+        if (E.Kind == CtrlKind::CallInternal) {
+          auto C = ByEntry.find(E.CalleeAddr);
+          if (C != ByEntry.end() && !C->second->MayReturn)
+            continue; // return site unreachable
+        }
+        if (Seen.insert(E.To).second)
+          Q.push_back(E.To);
+      }
+    }
+    return false;
+  };
+
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (size_t FI = 0; FI < Functions.size(); ++FI) {
+      if (!Functions[FI].MayReturn || retReachable(FI))
+        continue;
+      Functions[FI].MayReturn = false;
+      Changed = true;
+    }
+  }
 }
 
 BinaryResult Lifter::liftBinary() { return liftFrom({Img.Entry}); }

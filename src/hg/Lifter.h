@@ -170,6 +170,13 @@ struct BinaryResult {
   LiftStats Total;
 };
 
+/// §4.2.2 reachability: a call's return site is only truly reachable if
+/// the callee may return. Clears MayReturn of every function whose entry
+/// reaches no Ret edge once return sites of non-returning callees are cut,
+/// repeated to the greatest fixpoint over the call graph (flags are only
+/// ever cleared).
+void computeMayReturn(std::vector<FunctionResult> &Functions);
+
 /// Abstract per-function artifact cache. Implemented by store::CacheStore
 /// (content-addressed on-disk store); declared here so the Lifter can
 /// consult it without depending on the store layer. Both members may be

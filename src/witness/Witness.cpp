@@ -415,13 +415,15 @@ uint64_t jnum64(const diag::JValue &Doc, const std::string &Key) {
   return static_cast<uint64_t>(V->Num);
 }
 
-} // namespace
-
-diag::WitnessRecord probeSite(const elf::BinaryImage &Img,
-                              const hg::BinaryResult &Clean,
-                              const hg::FunctionResult &F, uint64_t SiteAddr,
-                              diag::DiagKind Kind, const WitnessOptions &Opts,
-                              const std::vector<uint8_t> *ElfBytes) {
+/// probeSite with the binary's reduction atoms collected on the first
+/// confirmation and kept in Atoms, so searchBinary collects them at most
+/// once per binary.
+diag::WitnessRecord probe(const elf::BinaryImage &Img,
+                          const hg::BinaryResult &Clean,
+                          const hg::FunctionResult &F, uint64_t SiteAddr,
+                          diag::DiagKind Kind, const WitnessOptions &Opts,
+                          const std::vector<uint8_t> *ElfBytes,
+                          std::optional<fuzz::ReductionAtoms> &Atoms) {
   diag::WitnessRecord Rec;
   Rec.Function = F.Entry;
   Rec.Addr = SiteAddr;
@@ -447,9 +449,14 @@ diag::WitnessRecord probeSite(const elf::BinaryImage &Img,
   WitnessSpec Spec;
   bool Hit = false;
   for (const Candidate &C : Cands) {
+    ++Rec.Candidates;
+    // Every verdict below needs the site's rip to come up in the walk, so
+    // the admission walk runs only for candidates whose bare run arrives.
+    if (!fuzz::arrivesAt(Img, F, C.Regs, C.MachineSeed, SiteAddr,
+                         Opts.MaxSteps))
+      continue;
     WalkResult WR = fuzz::walkFrom(Img, F, C.Regs, C.MachineSeed,
                                    Opts.MaxSteps);
-    ++Rec.Candidates;
     if (WantReach) {
       if (std::find(WR.Trace.begin(), WR.Trace.end(), SiteAddr) ==
           WR.Trace.end())
@@ -527,7 +534,9 @@ diag::WitnessRecord probeSite(const elf::BinaryImage &Img,
     std::vector<uint64_t> T;
     return specReproduces(*Img2, Spec, &T) && T == RefTrace;
   };
-  fuzz::ReduceResult RR = fuzz::reduceBinary(*ElfBytes, Clean, StillFails);
+  if (!Atoms)
+    Atoms = fuzz::reductionAtoms(Clean);
+  fuzz::ReduceResult RR = fuzz::reduceBinary(*ElfBytes, *Atoms, StillFails);
   Rec.Functions = RR.FunctionsLeft;
   Rec.Instructions = RR.InstructionsLeft;
 
@@ -553,6 +562,17 @@ diag::WitnessRecord probeSite(const elf::BinaryImage &Img,
   std::ostringstream Quiet;
   Rec.Replayed = replayWitness(JsonPath, Quiet) == 0;
   return Rec;
+}
+
+} // namespace
+
+diag::WitnessRecord probeSite(const elf::BinaryImage &Img,
+                              const hg::BinaryResult &Clean,
+                              const hg::FunctionResult &F, uint64_t SiteAddr,
+                              diag::DiagKind Kind, const WitnessOptions &Opts,
+                              const std::vector<uint8_t> *ElfBytes) {
+  std::optional<fuzz::ReductionAtoms> Atoms;
+  return probe(Img, Clean, F, SiteAddr, Kind, Opts, ElfBytes, Atoms);
 }
 
 diag::WitnessSummary searchBinary(const elf::BinaryImage &Img,
@@ -588,6 +608,7 @@ diag::WitnessSummary searchBinary(const elf::BinaryImage &Img,
       add(D.Prov.FunctionEntry, D.Prov.Addr, D.Kind);
     }
 
+  std::optional<fuzz::ReductionAtoms> Atoms;
   for (const Site &S : Sites) {
     const hg::FunctionResult *F = nullptr;
     for (const hg::FunctionResult &Fn : R.Functions)
@@ -602,7 +623,7 @@ diag::WitnessSummary searchBinary(const elf::BinaryImage &Img,
       Rec.DiagKindName = diag::diagKindName(S.Kind);
       Rec.Reason = "function-not-lifted";
     } else {
-      Rec = probeSite(Img, R, *F, S.Addr, S.Kind, Opts, ElfBytes);
+      Rec = probe(Img, R, *F, S.Addr, S.Kind, Opts, ElfBytes, Atoms);
     }
     ++Sum.Searched;
     if (Rec.Verdict == "confirmed")

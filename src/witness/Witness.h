@@ -13,10 +13,11 @@
 //      solutions first (pred::Pred::witnessSeeds), then alloc-class
 //      representatives (segment base addresses for pointer-shaped
 //      registers), then seeded random fill;
-//   2. each candidate is executed concretely with the *same* walk the fuzz
-//      oracle uses (fuzz::walkFrom), so a confirmed witness violates the
-//      very property (Definition 4.4) the oracle enforces, at the reported
-//      site;
+//   2. each candidate runs on the bare Machine first (fuzz::arrivesAt);
+//      one whose run brings the site up is executed again with the *same*
+//      walk the fuzz oracle uses (fuzz::walkFrom), so a confirmed witness
+//      violates the very property (Definition 4.4) the oracle enforces,
+//      at the reported site;
 //   3. a confirmed witness is re-checked through a symbolic-machinery-free
 //      replay spec (the violated clause is concretized at confirmation
 //      time), reduced with the delta-debugging reducer, and written as a

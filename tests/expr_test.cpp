@@ -96,6 +96,34 @@ TEST(Expr, LinearizeScaledIndex) {
   EXPECT_EQ(Coeffs[I], 4);
 }
 
+TEST(Expr, LinearizeWrapsModulo2To64) {
+  // Coefficients and constants wrap like the expressions they come from.
+  // 4 * (x + 2^61) carries the constant 4 * 2^61 = 2^63, one past
+  // INT64_MAX: computed in int64_t that product was undefined behaviour
+  // (the sanitized build stopped on exactly this multiplication).
+  ExprContext Ctx;
+  const Expr *X = Ctx.mkVar(VarClass::InitReg, "rdi0");
+  const Expr *E = Ctx.mkBin(Opcode::Mul, Ctx.mkAddK(X, 0x2000000000000000),
+                            Ctx.mkConst(4, 64));
+  expr::LinearForm LF = expr::linearize(E);
+  ASSERT_EQ(LF.Terms.size(), 1u);
+  EXPECT_EQ(LF.Terms[0].first, 4);
+  EXPECT_EQ(LF.Terms[0].second, X);
+  EXPECT_EQ(static_cast<uint64_t>(LF.Constant), 0x8000000000000000ull);
+
+  // Negating the most negative coefficient, and a coefficient sum that
+  // wraps to zero, which drops the term.
+  const Expr *Min = Ctx.mkConst(0x8000000000000000ull, 64);
+  expr::LinearForm N = expr::linearize(
+      Ctx.mkOp(Opcode::Neg, {Ctx.mkBin(Opcode::Mul, X, Min)}, 64));
+  ASSERT_EQ(N.Terms.size(), 1u);
+  EXPECT_EQ(static_cast<uint64_t>(N.Terms[0].first), 0x8000000000000000ull);
+  expr::LinearForm Z = expr::linearize(
+      Ctx.mkAdd(Ctx.mkBin(Opcode::Mul, X, Min), Ctx.mkBin(Opcode::Mul, X, Min)));
+  EXPECT_TRUE(Z.Terms.empty());
+  EXPECT_EQ(Z.Constant, 0);
+}
+
 TEST(Expr, TreeSizeAndFreshness) {
   ExprContext Ctx;
   const Expr *F = Ctx.mkFresh("tmp");

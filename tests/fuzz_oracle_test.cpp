@@ -7,11 +7,22 @@
 // clauses, the four flag-abstraction kinds, memory cells, range clauses,
 // fresh-leaf havoc, and bottom — including negative cases for each.
 //
+// arrivesAt gates the witness searcher's admission walks, so a property
+// test holds it to walkFrom: wherever a walk can match a site, the bare
+// run from the same entry state must arrive there.
+//
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Oracle.h"
 
+#include "api/Hglift.h"
+#include "corpus/Programs.h"
+#include "fuzz/Mutants.h"
+#include "support/Format.h"
+
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace hglift;
 using expr::Expr;
@@ -250,6 +261,98 @@ TEST_F(StateSatisfiesTest, ConjunctionFailsOnAnyClause) {
   EXPECT_TRUE(stateSatisfies(P, CC, M));
   M.store(0x8000, 8, 3); // one violated clause sinks the conjunction
   EXPECT_FALSE(stateSatisfies(P, CC, M));
+}
+
+// ------------------------------------------------- arrival gate (arrivesAt)
+
+/// The rips a walk matches the way the witness searcher reads it: every
+/// executed rip, plus the rip a violation is reported at and the one
+/// executed just before it.
+std::set<uint64_t> matchedRips(const fuzz::WalkResult &WR) {
+  std::set<uint64_t> Out(WR.Trace.begin(), WR.Trace.end());
+  if (WR.Violated) {
+    Out.insert(WR.V.Addr);
+    if (WR.V.PrevRip)
+      Out.insert(WR.V.PrevRip);
+  }
+  return Out;
+}
+
+TEST(ArrivalGate, EveryRipAWalkMatchesArrives) {
+  // For every explored rip X of every lifted function: if the walkFrom
+  // run matches X, arrivesAt(X) from the same entry state holds. Lifts
+  // with each registry mutant installed give walks that stop on
+  // violations; small step bounds put X at the bound's edge.
+  std::vector<std::pair<std::string, std::optional<corpus::BuiltBinary>>>
+      Programs = {
+          {"straightline", corpus::straightlineBinary()},
+          {"branchloop", corpus::branchLoopBinary()},
+          {"callchain", corpus::callChainBinary()},
+          {"ret2win", corpus::ret2winBinary()},
+          {"weirdedge", corpus::weirdEdgeBinary()},
+      };
+  for (uint64_t Seed = 1; Seed <= 2; ++Seed) {
+    corpus::GenOptions G;
+    G.Seed = Seed;
+    Programs.push_back({"random" + std::to_string(Seed),
+                        corpus::randomBinary(G)});
+  }
+  std::vector<const fuzz::Mutant *> Lifts{nullptr};
+  for (const fuzz::Mutant &M : fuzz::mutantRegistry())
+    Lifts.push_back(&M);
+
+  size_t Matched = 0, Missed = 0, Refused = 0, Violations = 0;
+  for (auto &[Name, BB] : Programs) {
+    ASSERT_TRUE(BB.has_value()) << Name;
+    for (const fuzz::Mutant *Mu : Lifts) {
+      std::string What = Name + (Mu ? " lifted with " + Mu->Name : "");
+      Session S(BB->Img, hglift::Options());
+      if (Mu) {
+        fuzz::MutantInstall MI(*Mu);
+        S.lift();
+      }
+      const hg::BinaryResult &R = S.lift();
+      Rng Rand(0xa77);
+      for (const hg::FunctionResult &F : R.Functions) {
+        if (F.Outcome != hg::LiftOutcome::Lifted || !F.Arena)
+          continue;
+        std::set<uint64_t> Rips = F.Graph.instructionAddrs();
+        for (int State = 0; State < 4; ++State) {
+          uint64_t Seed = Rand.next();
+          std::array<uint64_t, x86::NumGPRs> Regs{};
+          for (uint64_t &V : Regs)
+            V = Rand.chance(1, 2) ? Rand.below(16) : Rand.next();
+          for (int MaxSteps : {1, 2, 3, 5, 300}) {
+            fuzz::WalkResult WR =
+                fuzz::walkFrom(BB->Img, F, Regs, Seed, MaxSteps);
+            Violations += WR.Violated;
+            std::set<uint64_t> Hit = matchedRips(WR);
+            for (uint64_t X : Hit)
+              EXPECT_TRUE(Rips.count(X))
+                  << What << ": matched rip " << hexStr(X)
+                  << " has no explored vertex";
+            for (uint64_t X : Rips) {
+              bool Arrives =
+                  fuzz::arrivesAt(BB->Img, F, Regs, Seed, X, MaxSteps);
+              Refused += !Arrives;
+              if (!Hit.count(X))
+                continue;
+              ++Matched;
+              if (!Arrives && !Missed++)
+                ADD_FAILURE() << What << ": the walk from "
+                              << hexStr(F.Entry) << " matches "
+                              << hexStr(X) << " within " << MaxSteps
+                              << " steps but arrivesAt says no";
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Missed, 0u) << "of " << Matched << " matched rips";
+  EXPECT_GT(Matched, 0u);
+  EXPECT_GT(Violations, 0u) << "no walk stopped on a violation";
+  EXPECT_GT(Refused, 0u) << "arrivesAt never said no: it gates nothing";
 }
 
 } // namespace

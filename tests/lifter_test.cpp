@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <unistd.h>
 
 using namespace hglift;
@@ -527,6 +530,177 @@ TEST(WeirdEdges, MatchesReferenceOnOverlappingCorpus) {
     }
     EXPECT_GT(Weird, 0u) << BB->Img.Name;
   }
+}
+
+
+/// The may-return fixpoint as it was before out-edges were indexed: every
+/// dequeued vertex scans all of its function's edges.
+void computeMayReturnReference(std::vector<hg::FunctionResult> &Fns) {
+  std::map<uint64_t, hg::FunctionResult *> ByEntry;
+  for (hg::FunctionResult &F : Fns)
+    ByEntry[F.Entry] = &F;
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (hg::FunctionResult &F : Fns) {
+      if (!F.MayReturn)
+        continue;
+      std::set<hg::VertexKey> Seen{F.Graph.Initial};
+      std::deque<hg::VertexKey> Q{F.Graph.Initial};
+      bool RetReachable = false;
+      while (!Q.empty()) {
+        hg::VertexKey K = Q.front();
+        Q.pop_front();
+        for (const hg::Edge &E : F.Graph.Edges) {
+          if (!(E.From == K))
+            continue;
+          if (E.To.Rip == hg::RetTargetRip) {
+            RetReachable = true;
+            continue;
+          }
+          if (E.Kind == sem::CtrlKind::CallInternal) {
+            auto It = ByEntry.find(E.CalleeAddr);
+            if (It != ByEntry.end() && !It->second->MayReturn)
+              continue;
+          }
+          if (Seen.insert(E.To).second)
+            Q.push_back(E.To);
+        }
+      }
+      if (!RetReachable) {
+        F.MayReturn = false;
+        Changed = true;
+      }
+    }
+  }
+}
+
+std::vector<bool> mayReturnFlags(const std::vector<hg::FunctionResult> &Fns) {
+  std::vector<bool> Out;
+  for (const hg::FunctionResult &F : Fns)
+    Out.push_back(F.MayReturn);
+  return Out;
+}
+
+/// Run both fixpoints on copies of Fns; both must clear the same flags.
+void expectMayReturnMatchesReference(const std::vector<hg::FunctionResult> &Fns,
+                                     const std::string &What) {
+  std::vector<hg::FunctionResult> Got = Fns, Want = Fns;
+  hg::computeMayReturn(Got);
+  computeMayReturnReference(Want);
+  EXPECT_EQ(mayReturnFlags(Got), mayReturnFlags(Want)) << What;
+}
+
+/// h calls f, f calls g, g calls exit: f and h each have a Ret edge that
+/// only a non-returning call leads to, and h loses its flag only in the
+/// fixpoint's second round (functions are visited in entry order).
+std::optional<corpus::BuiltBinary> noReturnChainBinary() {
+  ProgramBuilder PB("noreturn_chain");
+  Asm &A = PB.text();
+  Asm::Label H = A.newLabel(), F = A.newLabel(), G = A.newLabel();
+  uint64_t Exit = PB.plt("exit");
+  A.bind(H);
+  A.subRI(Reg::RSP, 8, 8);
+  A.callL(F);
+  A.addRI(Reg::RSP, 8, 8);
+  A.ret();
+  A.bind(F);
+  A.subRI(Reg::RSP, 8, 8);
+  A.callL(G);
+  A.movRI(Reg::RAX, 0x42, 4);
+  A.addRI(Reg::RSP, 8, 8);
+  A.ret();
+  A.bind(G);
+  A.xorRR(Reg::RDI, Reg::RDI, 4);
+  A.callAbs(Exit);
+  return PB.build(H);
+}
+
+TEST(MayReturn, MatchesReferenceOnCorpus) {
+  // Reset every flag to what the per-function lift leaves (a Ret edge
+  // exists), then re-run the fixpoint both ways. The lift itself must
+  // agree with the reference too.
+  std::vector<std::optional<corpus::BuiltBinary>> Bins = {
+      noReturnChainBinary(), corpus::callChainBinary(),
+      corpus::recursionBinary(),
+      corpus::branchLoopBinary(), corpus::overflowBinary(),
+      corpus::concurrencyBinary(), corpus::weirdEdgeBinary()};
+  size_t Cleared = 0;
+  for (unsigned Seed = 1; Seed <= 4; ++Seed) {
+    corpus::GenOptions G;
+    G.Seed = 0x3e7 + Seed;
+    G.NumFuncs = 6;
+    G.TargetInstrs = 40;
+    Bins.push_back(corpus::randomBinary(G));
+  }
+  for (auto &BB : Bins) {
+    ASSERT_TRUE(BB.has_value());
+    hg::BinaryResult R = hg::Lifter(BB->Img, hg::LiftConfig()).liftBinary();
+    std::vector<hg::FunctionResult> Fns = R.Functions;
+    for (hg::FunctionResult &F : Fns) {
+      F.MayReturn = false;
+      for (const hg::Edge &E : F.Graph.Edges)
+        F.MayReturn |= E.To.Rip == hg::RetTargetRip;
+    }
+    std::vector<hg::FunctionResult> Want = Fns;
+    computeMayReturnReference(Want);
+    EXPECT_EQ(mayReturnFlags(R.Functions), mayReturnFlags(Want))
+        << BB->Img.Name;
+    expectMayReturnMatchesReference(Fns, BB->Img.Name);
+    for (size_t I = 0; I < Fns.size(); ++I)
+      Cleared += Fns[I].MayReturn && !Want[I].MayReturn;
+  }
+  EXPECT_GT(Cleared, 0u) << "no corpus function lost MayReturn: the "
+                            "comparison never exercised a cut";
+}
+
+TEST(MayReturn, MatchesReferenceOnRandomGraphs) {
+  // Call graphs with cycles, self-calls, calls to unknown entries, edges
+  // out of unreachable vertices and several vertices per rip.
+  Rng R(0x3a7);
+  size_t Cleared = 0;
+  for (unsigned Round = 0; Round < 400; ++Round) {
+    unsigned NF = static_cast<unsigned>(R.range(1, 6));
+    std::vector<hg::FunctionResult> Fns(NF);
+    for (unsigned FI = 0; FI < NF; ++FI) {
+      hg::FunctionResult &F = Fns[FI];
+      F.Entry = 0x1000 * (FI + 1);
+      F.Graph.Initial = hg::VertexKey{F.Entry, 0};
+      F.MayReturn = !R.chance(1, 6);
+      unsigned NV = static_cast<unsigned>(R.range(1, 12));
+      auto vertex = [&]() {
+        return hg::VertexKey{F.Entry + R.below(NV), R.below(2)};
+      };
+      unsigned NE = static_cast<unsigned>(R.range(0, 24));
+      for (unsigned I = 0; I < NE; ++I) {
+        hg::Edge E;
+        E.From = R.chance(1, 4) ? F.Graph.Initial : vertex();
+        switch (R.below(5)) {
+        case 0:
+          E.To = hg::VertexKey{hg::RetTargetRip, 0};
+          E.Kind = sem::CtrlKind::Ret;
+          break;
+        case 1:
+        case 2:
+          E.To = vertex();
+          E.Kind = sem::CtrlKind::CallInternal;
+          E.CalleeAddr =
+              R.chance(1, 8) ? 0x77777 : 0x1000 * (R.below(NF) + 1);
+          break;
+        default:
+          E.To = vertex();
+          E.Kind = sem::CtrlKind::Fall;
+        }
+        F.Graph.Edges.push_back(E);
+      }
+    }
+    std::vector<hg::FunctionResult> Want = Fns;
+    computeMayReturnReference(Want);
+    for (unsigned FI = 0; FI < NF; ++FI)
+      Cleared += Fns[FI].MayReturn && !Want[FI].MayReturn;
+    expectMayReturnMatchesReference(Fns, "round " + std::to_string(Round));
+  }
+  EXPECT_GT(Cleared, 100u);
 }
 
 } // namespace
