@@ -3,17 +3,13 @@
 // The harness that proves the two subsystems this bench is named for are
 // pure speed, no drift:
 //
-//   * portfolio gates: lifting the hotpath corpus with the tiered solver
-//     portfolio must (a) leave every Hoare graph, obligation and outcome
-//     identical to the legacy single-tier path, (b) cut the number of
-//     Z3-tier round trips by >= 1.5x, and (c) cut uncached query time
-//     (LiftStats::SolverSeconds) by >= 1.5x — all on a single CPU, no
-//     parallelism involved;
-//   * differential gate: every recorded query replayed through each tier
-//     in isolation, zero tiers contradicting the forced-Z3 oracle and
-//     zero definite answers forfeited by the tier-2 admission filter
-//     (queries under unsatisfiable predicates are vacuous and excluded —
-//     see tests/solver_portfolio_test.cpp);
+//   * differential gate: lifting the corpus with query logging on, every
+//     recorded query replayed through each tier in isolation, zero tiers
+//     contradicting the forced-Z3 oracle and zero definite answers
+//     forfeited by the tier-2 admission filter (queries under
+//     unsatisfiable predicates are vacuous and excluded — see
+//     tests/solver_portfolio_test.cpp). The lift's per-tier counts are
+//     recorded;
 //   * shard gate: the merged report of a 2- and 4-worker `hglift shard`
 //     run is byte-identical to the serial run;
 //   * scaling gate (full mode, >= 4 hardware threads only — auto-skipped
@@ -45,7 +41,6 @@
 #include "hg/Lifter.h"
 #include "shard/Shard.h"
 #include "smt/RelationSolver.h"
-#include "support/Format.h"
 
 #include "WorkDir.h"
 
@@ -54,7 +49,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -71,7 +65,7 @@ using namespace hglift;
 
 namespace {
 
-// --- corpus (same shape as bench_step1_hotpath) --------------------------
+// --- corpus ---------------------------------------------------------------
 
 struct CorpusItem {
   std::string Name;
@@ -119,104 +113,15 @@ std::vector<CorpusItem> buildCorpus(bool Smoke) {
   return Items;
 }
 
-// --- structural fingerprint (fresh numbering stripped, order-insensitive
-// parts sorted; same convention as bench_step1_hotpath) -------------------
-
-std::string stripFreshNumbers(const std::string &S) {
-  std::string Out;
-  for (size_t I = 0; I < S.size(); ++I) {
-    Out += S[I];
-    if (S[I] == '#')
-      while (I + 1 < S.size() && isdigit(static_cast<unsigned char>(S[I + 1])))
-        ++I;
-  }
-  return Out;
-}
-
-std::string fingerprint(const hg::BinaryResult &R) {
-  std::string S;
-  S += "outcome " + std::string(hg::liftOutcomeName(R.Outcome)) + " " +
-       R.FailReason + "\n";
-  for (const hg::FunctionResult &F : R.Functions) {
-    S += "fn " + hexStr(F.Entry) + " " +
-         std::string(hg::liftOutcomeName(F.Outcome)) + " " + F.FailReason;
-    if (F.Outcome != hg::LiftOutcome::Lifted) {
-      S += "\n";
-      continue;
-    }
-    S += " ret " + std::to_string(F.MayReturn) + "\n";
-    std::vector<std::string> Lines, Edges;
-    for (const auto &[Key, V] : F.Graph.Vertices) {
-      std::string L = "  v " + hexStr(Key.Rip);
-      if (F.Arena) {
-        L += " P=" + stripFreshNumbers(V.State.P.str(F.Arena->ctx()));
-        L += " M=" + stripFreshNumbers(V.State.M.str(F.Arena->ctx()));
-      }
-      Lines.push_back(std::move(L));
-    }
-    for (const hg::Edge &E : F.Graph.Edges)
-      Edges.push_back("  e " + hexStr(E.From.Rip) + " -> " +
-                      hexStr(E.To.Rip));
-    std::sort(Lines.begin(), Lines.end());
-    std::sort(Edges.begin(), Edges.end());
-    for (auto &L : Lines)
-      S += L + "\n";
-    for (auto &E : Edges)
-      S += E + "\n";
-  }
-  std::vector<std::string> Obls = R.allObligations();
-  for (auto &O : Obls)
-    O = stripFreshNumbers(O);
-  std::sort(Obls.begin(), Obls.end());
-  for (auto &O : Obls)
-    S += "obl " + O + "\n";
-  return S;
-}
-
-// --- phase 1: portfolio vs legacy ----------------------------------------
-
-struct ModeTotals {
-  double Wall = 0;
-  LiftStats Stats;
-  std::vector<std::string> Fingerprints;
-};
-
-ModeTotals runMode(const std::vector<CorpusItem> &Corpus, bool Portfolio,
-                   int Reps) {
-  ModeTotals T;
-  hg::LiftConfig Cfg;
-  Cfg.Solver.Portfolio = Portfolio;
-  double BestWall = -1;
-  for (int Rep = 0; Rep < Reps; ++Rep) {
-    LiftStats Run;
-    auto T0 = std::chrono::steady_clock::now();
-    for (const CorpusItem &It : Corpus) {
-      hg::Lifter L(It.BB.Img, Cfg);
-      hg::BinaryResult R = It.Library ? L.liftLibrary() : L.liftBinary();
-      Run.merge(R.Total);
-      if (Rep == 0)
-        T.Fingerprints.push_back(fingerprint(R));
-    }
-    double Secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-            .count();
-    // Best-of-N for both wall time and the solver-seconds counter (they
-    // co-vary; a noisy rep inflates both).
-    if (BestWall < 0 || Secs < BestWall) {
-      BestWall = Secs;
-      T.Stats = Run;
-    }
-  }
-  T.Wall = BestWall;
-  return T;
-}
-
-// --- phase 2: differential replay ----------------------------------------
+// --- phase 1: differential replay ----------------------------------------
 
 struct DiffTotals {
   uint64_t Replayed = 0;
   uint64_t UnsatSkipped = 0;
   uint64_t Disagreements = 0;
+  /// The logged lift's totals (per-tier counts; logging changes no
+  /// decision).
+  LiftStats Stats;
 };
 
 void replayOne(smt::RelationSolver &S, DiffTotals &D) {
@@ -254,6 +159,7 @@ DiffTotals runDifferential(const std::vector<CorpusItem> &Corpus) {
   for (const CorpusItem &It : Corpus) {
     hg::Lifter L(It.BB.Img, Cfg);
     hg::BinaryResult R = It.Library ? L.liftLibrary() : L.liftBinary();
+    D.Stats.merge(R.Total);
     for (hg::FunctionResult &F : R.Functions)
       if (F.Arena)
         replayOne(F.Arena->solver(), D);
@@ -261,7 +167,7 @@ DiffTotals runDifferential(const std::vector<CorpusItem> &Corpus) {
   return D;
 }
 
-// --- phase 3/4: shard byte identity and scaling --------------------------
+// --- phase 2/3: shard byte identity and scaling --------------------------
 
 std::vector<std::string> corpusToDisk(const std::vector<CorpusItem> &Corpus,
                                       const std::string &Dir) {
@@ -306,14 +212,13 @@ ShardRun runShardMode(const std::vector<std::string> &Paths,
   return Out;
 }
 
-// --- phase 4/5: timed `hglift shard` processes ---------------------------
+// --- phase 3/4: timed `hglift shard` processes ---------------------------
 
 /// Alternating (A, B) pairs per timing gate. Some hosts run the first few
-/// multi-process runs after an idle spell (phases 1-2 are ~100 s of one
-/// busy CPU) ~3x slower at the same CPU time; on the 4-vCPU VM this bench
-/// was sized on that was the first 3-6 of them, phase 3's included. A
-/// single sample can land on one; the median of 15 alternated runs
-/// tolerates seven.
+/// multi-process runs after a spell of one busy CPU ~3x slower at the same
+/// CPU time; on the 4-vCPU VM this bench was sized on that was the first
+/// 3-6 of them, phase 2's included. A single sample can land on one; the
+/// median of 15 alternated runs tolerates seven.
 constexpr int TimedPairs = 15;
 
 std::string readFile(const std::string &Path) {
@@ -431,7 +336,7 @@ PairedTiming timePairs(const std::vector<std::string> &Paths,
   return T;
 }
 
-// --- phase 4/5 corpora ---------------------------------------------------
+// --- phase 3/4 corpora ---------------------------------------------------
 
 /// Write a generated shared object of Funcs functions of ~400 instructions
 /// each to Dir/Name.elf and append its path to Paths.
@@ -460,7 +365,7 @@ void emitLibrary(const std::string &Dir, uint64_t Seed, unsigned Funcs,
 /// sized in measured seconds, like the skew corpus below. One library
 /// takes ~0.1 s to lift alone, so the serial side is well over a second
 /// of lifting and the gate times lifting, not process start-up (the
-/// 13-binary phase 1-3 corpus is a few hundredths of a second of work).
+/// 13-binary phase 1-2 corpus is a few hundredths of a second of work).
 std::vector<std::string> scalingCorpusToDisk(const std::string &Dir) {
   std::filesystem::create_directories(Dir);
   std::vector<std::string> Paths;
@@ -566,45 +471,20 @@ int main(int argc, char **argv) {
   }
 
   std::vector<CorpusItem> Corpus = buildCorpus(Smoke);
-  const int Reps = Smoke ? 1 : 3;
-  std::printf("shard/portfolio bench: %zu corpus binaries, %d rep%s%s\n\n",
-              Corpus.size(), Reps, Reps == 1 ? "" : "s",
-              Smoke ? " (smoke)" : "");
+  std::printf("shard/portfolio bench: %zu corpus binaries%s\n\n",
+              Corpus.size(), Smoke ? " (smoke)" : "");
 
-  // Phase 1: portfolio vs legacy, single CPU.
-  ModeTotals Legacy = runMode(Corpus, /*Portfolio=*/false, Reps);
-  ModeTotals Port = runMode(Corpus, /*Portfolio=*/true, Reps);
-  bool StructIdentical = Legacy.Fingerprints == Port.Fingerprints;
-  double Z3Reduction =
-      Port.Stats.Z3Queries
-          ? double(Legacy.Stats.Z3Queries) / double(Port.Stats.Z3Queries)
-          : (Legacy.Stats.Z3Queries ? 1e9 : 1.0);
-  double TimeReduction = Port.Stats.SolverSeconds > 0
-                             ? Legacy.Stats.SolverSeconds /
-                                   Port.Stats.SolverSeconds
-                             : 1.0;
-  std::printf("%-10s wall %7.3fs solver %7.4fs z3 %6llu tier2skip %llu\n",
-              "legacy", Legacy.Wall, Legacy.Stats.SolverSeconds,
-              (unsigned long long)Legacy.Stats.Z3Queries,
-              (unsigned long long)Legacy.Stats.SolverTier2Skipped);
-  std::printf("%-10s wall %7.3fs solver %7.4fs z3 %6llu tier2skip %llu\n",
-              "portfolio", Port.Wall, Port.Stats.SolverSeconds,
-              (unsigned long long)Port.Stats.Z3Queries,
-              (unsigned long long)Port.Stats.SolverTier2Skipped);
-  std::printf("z3 reduction %.2fx, query-time reduction %.2fx, structures "
-              "%s\n\n",
-              Z3Reduction, TimeReduction,
-              StructIdentical ? "identical" : "DIFFER");
-
-  // Phase 2: differential tier replay.
+  // Phase 1: differential tier replay.
   DiffTotals Diff = runDifferential(Corpus);
   std::printf("differential: %llu replayed, %llu vacuous (unsat pred), "
-              "%llu disagreements\n\n",
+              "%llu disagreements; z3 %llu, tier2skip %llu\n\n",
               (unsigned long long)Diff.Replayed,
               (unsigned long long)Diff.UnsatSkipped,
-              (unsigned long long)Diff.Disagreements);
+              (unsigned long long)Diff.Disagreements,
+              (unsigned long long)Diff.Stats.Z3Queries,
+              (unsigned long long)Diff.Stats.SolverTier2Skipped);
 
-  // Phase 3: shard byte identity (2 and 4 workers vs serial).
+  // Phase 2: shard byte identity (2 and 4 workers vs serial).
   bench::WorkDir Work("hglift_bench_shard");
   if (Work.Path.empty()) {
     std::fprintf(stderr, "cannot create a work directory\n");
@@ -623,11 +503,11 @@ int main(int argc, char **argv) {
               Identical2 ? "identical" : "DIFFER",
               Identical4 ? "identical" : "DIFFER");
 
-  // Phase 4: process scaling on its own balanced corpus — only
+  // Phase 3: process scaling on its own balanced corpus — only
   // meaningful with real parallelism underneath, so auto-skip below 4
   // hardware threads. The serial side is its own `hglift shard --shards 1`
   // process, like the workers: timed in this process, it would run on a
-  // heap that phases 1-3 already warmed. Every timed run must merge the
+  // heap that phases 1-2 already warmed. Every timed run must merge the
   // bytes of an in-process serial run over the same corpus.
   unsigned HwThreads = std::thread::hardware_concurrency();
   bool ScalingSkipped = Smoke || HwThreads < 4;
@@ -655,10 +535,10 @@ int main(int argc, char **argv) {
                       : "fewer than 4 hardware threads");
   }
 
-  // Phase 5: skewed corpus — one dominant binary behind a static
+  // Phase 4: skewed corpus — one dominant binary behind a static
   // round-robin slice-mate. The pull scheduler must recover the idle
   // time: >= 1.3x wall clock over the --no-work-stealing ablation, same
-  // bytes, timed like phase 4. Needs real parallelism underneath, so
+  // bytes, timed like phase 3. Needs real parallelism underneath, so
   // auto-skipped (and the reason recorded) below 4 hardware threads and
   // in smoke mode.
   bool SkewSkipped = (Smoke || HwThreads < 4) && !ForceSkew;
@@ -708,15 +588,10 @@ int main(int argc, char **argv) {
     std::printf("skew: skipped (%s)\n\n", SkewSkipReason.c_str());
   }
 
-  // Gates. Timing/count reductions only gate the full run (smoke corpora
-  // are too small for stable ratios).
-  bool GateStruct = StructIdentical;
+  // Gates. The timing gates only run in full mode (see phases 3-4).
   bool GateDiff = Diff.Disagreements == 0;
   bool GateShard = Identical2 && Identical4;
-  bool GateZ3 = Smoke || Z3Reduction >= 1.5;
-  bool GateTime = Smoke || TimeReduction >= 1.5;
-  bool Pass = GateStruct && GateDiff && GateShard && GateZ3 && GateTime &&
-              ScalingPass && SkewPass;
+  bool Pass = GateDiff && GateShard && ScalingPass && SkewPass;
 
   std::ofstream Out(OutPath);
   if (!Out) {
@@ -734,22 +609,13 @@ int main(int argc, char **argv) {
       << "  \"corpus_binaries\": " << Corpus.size() << ",\n"
       << "  \"timed_pairs\": " << TimedPairs << ",\n"
       << "  \"portfolio\": {\n"
-      << "    \"legacy_z3_queries\": " << Legacy.Stats.Z3Queries << ",\n"
-      << "    \"portfolio_z3_queries\": " << Port.Stats.Z3Queries << ",\n"
-      << "    \"z3_reduction\": " << jsonNum(Z3Reduction) << ",\n"
-      << "    \"legacy_solver_seconds\": "
-      << jsonNum(Legacy.Stats.SolverSeconds) << ",\n"
-      << "    \"portfolio_solver_seconds\": "
-      << jsonNum(Port.Stats.SolverSeconds) << ",\n"
-      << "    \"query_time_reduction\": " << jsonNum(TimeReduction) << ",\n"
-      << "    \"tier0_hits\": " << Port.Stats.SolverTier0Hits << ",\n"
-      << "    \"tier1_hits\": " << Port.Stats.SolverTier1Hits << ",\n"
-      << "    \"class_hits\": " << Port.Stats.SolverClassHits << ",\n"
-      << "    \"tier2_hits\": " << Port.Stats.SolverTier2Hits << ",\n"
-      << "    \"tier2_skipped\": " << Port.Stats.SolverTier2Skipped << ",\n"
-      << "    \"fallthroughs\": " << Port.Stats.SolverFallthroughs << ",\n"
-      << "    \"structures_identical\": "
-      << (StructIdentical ? "true" : "false") << "\n"
+      << "    \"z3_queries\": " << Diff.Stats.Z3Queries << ",\n"
+      << "    \"tier0_hits\": " << Diff.Stats.SolverTier0Hits << ",\n"
+      << "    \"tier1_hits\": " << Diff.Stats.SolverTier1Hits << ",\n"
+      << "    \"class_hits\": " << Diff.Stats.SolverClassHits << ",\n"
+      << "    \"tier2_hits\": " << Diff.Stats.SolverTier2Hits << ",\n"
+      << "    \"tier2_skipped\": " << Diff.Stats.SolverTier2Skipped << ",\n"
+      << "    \"fallthroughs\": " << Diff.Stats.SolverFallthroughs << "\n"
       << "  },\n"
       << "  \"differential\": {\n"
       << "    \"replayed\": " << Diff.Replayed << ",\n"
@@ -797,15 +663,10 @@ int main(int argc, char **argv) {
       << "\n"
       << "  },\n"
       << "  \"gates\": {\n"
-      << "    \"structural_identity\": " << (GateStruct ? "true" : "false")
-      << ",\n"
       << "    \"zero_tier_disagreements\": " << (GateDiff ? "true" : "false")
       << ",\n"
       << "    \"shard_byte_identity\": " << (GateShard ? "true" : "false")
       << ",\n"
-      << "    \"z3_reduction_1_5x\": " << (GateZ3 ? "true" : "false") << ",\n"
-      << "    \"query_time_reduction_1_5x\": "
-      << (GateTime ? "true" : "false") << ",\n"
       << "    \"process_scaling\": "
       << (ScalingSkipped ? "\"skipped\"" : (ScalingPass ? "true" : "false"))
       << ",\n"

@@ -12,7 +12,7 @@
 //   if (Tracer *T = Tracer::active()) { ...build and emit... }
 //
 // where active() is a single relaxed atomic load — unmeasurable on the
-// Step-1 hot path (bench_step1_hotpath gates this). When ON, each event
+// Step-1 hot path. When ON, each event
 // renders into a thread-local buffer and is written under one mutex, so
 // concurrent workers (--threads N) interleave whole lines, never bytes:
 // the output is valid JSON Lines under any schedule (raced under TSAN by

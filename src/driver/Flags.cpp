@@ -11,7 +11,6 @@
 #include <limits>
 #include <ostream>
 #include <string_view>
-#include <tuple>
 
 namespace hglift::driver {
 
@@ -174,14 +173,6 @@ const std::vector<Flag> &flagTable() {
              "ablation: disable state joining"),
       toggle("--destroy-always", Lifting, OPT(Lift.Sym.Policy),
              mem::UnknownPolicy::DestroyAlways, "ablation: no alias branching"),
-      toggle("--no-hotpath-cache", Lifting, [](auto &C) {
-        auto &L = C.options().Lift;
-        return std::tie(L.Solver.EnableCache, L.LeqMemo);
-      }, std::tuple(false, false), "ablation: no query cache, leq memo"),
-      toggle("--lifo-worklist", Lifting, OPT(Lift.OrderedWorklist), false,
-             "ablation: LIFO instead of address-ordered worklist"),
-      toggle("--no-solver-portfolio", Lifting, OPT(Lift.Solver.Portfolio),
-             false, "ablation: single-tier relation solving"),
       toggle("--no-vsa", Lifting, OPT(Lift.Sym.Vsa), false,
              "ablation: no value-set analysis of indirections"),
       value("--vsa-max-targets", "N", Lifting, OPT(Lift.Sym.VsaMaxTargets),

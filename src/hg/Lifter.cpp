@@ -212,38 +212,27 @@ FunctionResult Lifter::liftUncached(uint64_t Entry) {
 
   // Abstraction-order memo for the covered/subsumption probes below.
   StateLeqMemo Memo;
-  Memo.setEnabled(Cfg.LeqMemo);
   Memo.setLiftStats(&FR.Stats);
 
-  // The worklist. Ordered mode keeps states keyed by instruction address
-  // and always pops the lowest address (FIFO among states at one address),
-  // approximating reverse post-order; LIFO mode is the historical bag,
-  // kept for the ablation bench. Both modes are exhaustive — only the
-  // exploration *order* (and hence join batching) differs.
-  std::map<uint64_t, std::deque<SymState>> Ordered;
-  std::deque<std::pair<SymState, uint64_t>> Lifo;
+  // The worklist: states keyed by instruction address, always popping the
+  // lowest address (FIFO among states at one address). For
+  // compiler-laid-out code this approximates reverse post-order, so states
+  // arriving at a join point are batched before the vertex is re-explored.
+  std::map<uint64_t, std::deque<SymState>> Worklist;
   size_t Pending = 0;
   auto push = [&](SymState S, uint64_t Rip) {
     ++Pending;
-    if (Cfg.OrderedWorklist)
-      Ordered[Rip].push_back(std::move(S));
-    else
-      Lifo.emplace_back(std::move(S), Rip);
+    Worklist[Rip].push_back(std::move(S));
   };
   auto pop = [&]() -> std::pair<SymState, uint64_t> {
     --Pending;
-    if (Cfg.OrderedWorklist) {
-      auto It = Ordered.begin();
-      uint64_t Rip = It->first;
-      SymState S = std::move(It->second.front());
-      It->second.pop_front();
-      if (It->second.empty())
-        Ordered.erase(It);
-      return {std::move(S), Rip};
-    }
-    auto P = std::move(Lifo.back());
-    Lifo.pop_back();
-    return P;
+    auto It = Worklist.begin();
+    uint64_t Rip = It->first;
+    SymState S = std::move(It->second.front());
+    It->second.pop_front();
+    if (It->second.empty())
+      Worklist.erase(It);
+    return {std::move(S), Rip};
   };
 
   push(std::move(Init), Entry);
@@ -274,8 +263,7 @@ FunctionResult Lifter::liftUncached(uint64_t Entry) {
     ResolvedSites.clear();
     UnresJumpSites.clear();
     UnresCallSites.clear();
-    Ordered.clear();
-    Lifo.clear();
+    Worklist.clear();
     Pending = 0;
     Serial = 0;
     push(mkInit(), Entry);
@@ -400,16 +388,6 @@ FunctionResult Lifter::liftUncached(uint64_t Entry) {
       E.field("vertices", static_cast<uint64_t>(G.Vertices.size()));
       T->emit(std::move(E));
     }
-
-#ifdef HGLIFT_TRACE_LIFT
-    fprintf(stderr,
-            "pop rip=%llx bag=%zu verts=%zu cells=%zu ranges=%zu clob=%zu "
-            "forest=%zu exprs=%zu\n",
-            (unsigned long long)Rip, Pending, G.Vertices.size(),
-            Sigma.P.cells().size(), Sigma.P.ranges().size(),
-            Sigma.M.Clobbered.size(), Sigma.M.allRegions().size(),
-            Ctx.numExprs());
-#endif
 
     // --- Algorithm 1 lines 3-9: find a compatible vertex, join -----------
     VertexKey Key{Rip, ctrlHash(Sigma)};

@@ -67,16 +67,6 @@ struct LiftConfig {
   bool EnableJoin = true;
   /// Disable the control-immediates compatibility exception (ablation).
   bool CtrlImmediateException = true;
-  /// Explore the per-function worklist in ascending instruction-address
-  /// order (FIFO among states at the same address) instead of LIFO. The
-  /// ordering approximates reverse post-order for compiler-laid-out code:
-  /// states arriving at a join point are batched before the vertex is
-  /// re-explored, which reduces join/re-exploration churn on diamonds and
-  /// loops. Off = the historical LIFO bag (ablation mode of
-  /// bench_step1_hotpath).
-  bool OrderedWorklist = true;
-  /// Memoize Pred::leq / MemModel::leq probes at join points (hg/StateMemo.h).
-  bool LeqMemo = true;
   /// Optional per-function artifact cache (store/Store.h), consulted by
   /// liftFunction() before running Algorithm 1 and populated after every
   /// successful lift. Non-owning; must be thread-safe when Threads > 1.

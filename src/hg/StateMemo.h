@@ -31,15 +31,13 @@ namespace hglift::hg {
 
 class StateLeqMemo {
 public:
+  /// Entries per map; a map reaching it is cleared.
+  static constexpr size_t Cap = 1u << 13;
+
   /// Stats is optional; when attached, LeqHits/LeqMisses are counted there.
   void setLiftStats(LiftStats *Sink) { LS = Sink; }
 
-  /// When disabled, probes forward straight to the underlying leq.
-  void setEnabled(bool E) { Enabled = E; }
-
   bool predLeq(const pred::Pred &A, const pred::Pred &B) {
-    if (!Enabled)
-      return pred::Pred::leq(A, B);
     uint64_t Key = mixKey(A.digest(), B.digest());
     if (auto It = Preds.find(Key);
         It != Preds.end() && It->second.A == A && It->second.B == B) {
@@ -54,8 +52,6 @@ public:
   }
 
   bool memLeq(const mem::MemModel &A, const mem::MemModel &B) {
-    if (!Enabled)
-      return mem::MemModel::leq(A, B);
     uint64_t Key = mixKey(A.digest(), B.digest());
     if (auto It = Mems.find(Key);
         It != Mems.end() && It->second.A == A && It->second.B == B) {
@@ -99,11 +95,9 @@ private:
       ++LS->LeqMisses;
   }
 
-  static constexpr size_t Cap = 1u << 13;
   std::unordered_map<uint64_t, PredEntry> Preds;
   std::unordered_map<uint64_t, MemEntry> Mems;
   LiftStats *LS = nullptr;
-  bool Enabled = true;
 };
 
 } // namespace hglift::hg

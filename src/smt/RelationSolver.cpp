@@ -178,8 +178,8 @@ MemRel relByDelta(int64_t Delta, uint32_t S0, uint32_t S1) {
 }
 
 /// Map the interval of (addr0 - addr1) onto a relation, or Unknown if the
-/// interval does not pin one down. Shared by the portfolio tier 1, the
-/// legacy path, and the forced-tier replay so they cannot drift apart.
+/// interval does not pin one down. Shared by tier 1 and the forced-tier
+/// replay so they cannot drift apart.
 MemRel relFromDiffInterval(const Interval &ID, uint32_t S0, uint32_t S1) {
   if (ID.isTop() || ID.isEmpty())
     return MemRel::Unknown;
@@ -214,7 +214,7 @@ bool distinctClasses(AllocClass C0, AllocClass C1) {
 } // namespace
 
 void RelationSolver::boundCaches(uint64_t LiveVer) {
-  if (RelCache.size() + EqCache.size() < Cfg.CacheCap)
+  if (RelCache.size() + EqCache.size() < CacheCap)
     return;
   size_t Before = RelCache.size() + EqCache.size();
   for (auto It = RelCache.begin(); It != RelCache.end();)
@@ -222,41 +222,27 @@ void RelationSolver::boundCaches(uint64_t LiveVer) {
   for (auto It = EqCache.begin(); It != EqCache.end();)
     It = It->first.Ver == LiveVer ? std::next(It) : EqCache.erase(It);
   uint64_t Stale = Before - (RelCache.size() + EqCache.size());
-  S.CacheInvalidated += Stale;
-  if (LS)
-    LS->RelCacheInvalidated += Stale;
+  LS->RelCacheInvalidated += Stale;
   if (Stale == 0) {
     // Everything belongs to the live version: clearing is the only way to
     // respect the cap. These entries were still hittable, so they count
     // as evictions, not invalidations.
-    uint64_t Evicted = Before;
     RelCache.clear();
     EqCache.clear();
-    S.CacheEvicted += Evicted;
-    if (LS)
-      LS->RelCacheEvicted += Evicted;
+    LS->RelCacheEvicted += Before;
   }
 }
 
 RelationSolver::Decision RelationSolver::decide(const Region &R0,
                                                 const Region &R1,
                                                 const pred::Pred &P) {
-  ++S.Queries;
-  if (LS)
-    ++LS->SolverQueries;
-  if (!Cfg.EnableCache)
-    return decideRecorded(R0, R1, P);
-
+  ++LS->SolverQueries;
   RelKey Key{R0.Addr, R1.Addr, R0.Size, R1.Size, P.version()};
   if (auto It = RelCache.find(Key); It != RelCache.end()) {
-    ++S.CacheHits;
-    if (LS)
-      ++LS->RelCacheHits;
-    return Decision{It->second.Rel, It->second.DecidedBy, /*CacheHit=*/true};
+    ++LS->RelCacheHits;
+    return Decision{It->second.Rel, It->second.DecidedBy};
   }
-  ++S.CacheMisses;
-  if (LS)
-    ++LS->RelCacheMisses;
+  ++LS->RelCacheMisses;
   Decision D = decideRecorded(R0, R1, P);
   boundCaches(Key.Ver);
   RelCache.emplace(Key, CachedRel{D.Rel, D.DecidedBy});
@@ -267,39 +253,26 @@ RelationSolver::Decision
 RelationSolver::decideRecorded(const Region &R0, const Region &R1,
                                const pred::Pred &P) {
   auto Start = std::chrono::steady_clock::now();
-  Decision D = decideUncached(R0, R1, P);
-  double Sec = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - Start)
-                   .count();
-  S.DecideSeconds += Sec;
-  if (LS)
-    LS->SolverSeconds += Sec;
+  Decision D = decidePortfolio(R0, R1, P);
+  LS->SolverSeconds += std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - Start)
+                           .count();
 
   switch (D.DecidedBy) {
   case Tier::Syntactic:
-    ++S.SyntacticHits;
-    if (LS)
-      ++LS->SolverTier0Hits;
+    ++LS->SolverTier0Hits;
     break;
   case Tier::Interval:
-    ++S.IntervalHits;
-    if (LS)
-      ++LS->SolverTier1Hits;
+    ++LS->SolverTier1Hits;
     break;
   case Tier::AllocClass:
-    ++S.ClassAssumptionHits;
-    if (LS)
-      ++LS->SolverClassHits;
+    ++LS->SolverClassHits;
     break;
   case Tier::Z3:
-    ++S.Z3Hits;
-    if (LS)
-      ++LS->SolverTier2Hits;
+    ++LS->SolverTier2Hits;
     break;
   case Tier::None:
-    ++S.Fallthroughs;
-    if (LS)
-      ++LS->SolverFallthroughs;
+    ++LS->SolverFallthroughs;
     break;
   }
 
@@ -307,7 +280,7 @@ RelationSolver::decideRecorded(const Region &R0, const Region &R1,
       QueryRec{R0.Addr,       R1.Addr, R0.Size, R1.Size, D.Rel,
                uint8_t(D.DecidedBy)};
 
-  if (Cfg.LogQueries && Log.size() < Cfg.LogCap)
+  if (Cfg.LogQueries && Log.size() < LogCap)
     Log.push_back(LoggedQuery{R0.Addr, R1.Addr, R0.Size, R1.Size, P, D.Rel,
                               D.DecidedBy});
 
@@ -412,8 +385,7 @@ bool sortedIntersect(const std::vector<const Expr *> &A,
 bool RelationSolver::admitSkipsZ3(const Region &R0, const Region &R1,
                                   const LinearForm &L0, const LinearForm &L1,
                                   const pred::Pred &P) {
-  // Without range clauses Z3 has no information beyond the syntactic core
-  // (same skip the legacy path takes, here it is counted).
+  // Without range clauses Z3 has no information beyond the syntactic core.
   if (P.ranges().empty())
     return true;
 
@@ -426,8 +398,7 @@ bool RelationSolver::admitSkipsZ3(const Region &R0, const Region &R1,
   // nothing about either address and there is no common subterm for Z3 to
   // reason through; the only separations it could still find are pure
   // bit-structure arguments (parity tricks and the like) that compiler
-  // address arithmetic does not produce — and that the legacy path already
-  // forfeits whenever the clause list is empty.
+  // address arithmetic does not produce.
   auto Touches = [&](const std::vector<const Expr *> &Lv) {
     for (const Expr *L : Lv)
       if (sortedContains(RI.Leaves, L))
@@ -466,13 +437,6 @@ bool RelationSolver::admitSkipsZ3(const Region &R0, const Region &R1,
 }
 
 RelationSolver::Decision
-RelationSolver::decideUncached(const Region &R0, const Region &R1,
-                               const pred::Pred &P) {
-  return Cfg.Portfolio ? decidePortfolio(R0, R1, P)
-                       : decideLegacy(R0, R1, P);
-}
-
-RelationSolver::Decision
 RelationSolver::decidePortfolio(const Region &R0, const Region &R1,
                                 const pred::Pred &P) {
   // Bound the memos up front, never mid-query: every map is node-based,
@@ -486,7 +450,7 @@ RelationSolver::decidePortfolio(const Region &R0, const Region &R1,
 
   // Tier 0: syntactic discharge.
   if (R0.Addr == R1.Addr && R0.Size == R1.Size)
-    return Decision{MemRel::MustAlias, Tier::Syntactic, false};
+    return Decision{MemRel::MustAlias, Tier::Syntactic};
 
   const LinearForm &L0 = linearizeMemo(R0.Addr);
   const LinearForm &L1 = linearizeMemo(R1.Addr);
@@ -495,7 +459,7 @@ RelationSolver::decidePortfolio(const Region &R0, const Region &R1,
                                    static_cast<uint64_t>(L0.Constant) -
                                    static_cast<uint64_t>(L1.Constant)),
                                R0.Size, R1.Size),
-                    Tier::Syntactic, false};
+                    Tier::Syntactic};
 
   // Tier 1: interval reasoning on the linear difference, computed by
   // direct form subtraction (no Sub expression interned, no
@@ -504,7 +468,7 @@ RelationSolver::decidePortfolio(const Region &R0, const Region &R1,
   MemRel R =
       relFromDiffInterval(P.intervalOfForm(Diff), R0.Size, R1.Size);
   if (R != MemRel::Unknown)
-    return Decision{R, Tier::Interval, false};
+    return Decision{R, Tier::Interval};
 
   // Allocation-class separation assumptions (recorded as obligations).
   if (Cfg.AllocClassAssumptions &&
@@ -512,80 +476,23 @@ RelationSolver::decidePortfolio(const Region &R0, const Region &R1,
     Assumptions.push_back(Assumption{
         "ASSUME " + R0.str(Ctx) + " SEPARATE FROM " + R1.str(Ctx) +
         " (distinct allocation classes)"});
-    return Decision{MemRel::MustSep, Tier::AllocClass, false};
+    return Decision{MemRel::MustSep, Tier::AllocClass};
   }
 
 #ifdef HGLIFT_WITH_Z3
   if (Z3) {
     if (admitSkipsZ3(R0, R1, L0, L1, P)) {
-      ++S.Tier2Skipped;
-      if (LS)
-        ++LS->SolverTier2Skipped;
+      ++LS->SolverTier2Skipped;
     } else {
-      ++S.Z3Queries;
-      if (LS)
-        ++LS->Z3Queries;
+      ++LS->Z3Queries;
       MemRel ZR = Z3->query(R0, R1, P, Ctx, /*Persistent=*/true);
-      S.Z3TransEvictions = Z3->numEvictions();
-      S.Z3CtxReuses = Z3->numCtxReuses();
       if (ZR != MemRel::Unknown)
-        return Decision{ZR, Tier::Z3, false};
+        return Decision{ZR, Tier::Z3};
     }
   }
 #endif
 
-  return Decision{MemRel::Unknown, Tier::None, false};
-}
-
-RelationSolver::Decision
-RelationSolver::decideLegacy(const Region &R0, const Region &R1,
-                             const pred::Pred &P) {
-  if (R0.Addr == R1.Addr && R0.Size == R1.Size)
-    return Decision{MemRel::MustAlias, Tier::Syntactic, false};
-
-  // Linear difference, recomputed per query (the historical cost model
-  // the portfolio is benchmarked against).
-  LinearForm L0 = expr::linearize(R0.Addr);
-  LinearForm L1 = expr::linearize(R1.Addr);
-  if (L0.sameBase(L1))
-    return Decision{relByDelta(static_cast<int64_t>(
-                                   static_cast<uint64_t>(L0.Constant) -
-                                   static_cast<uint64_t>(L1.Constant)),
-                               R0.Size, R1.Size),
-                    Tier::Syntactic, false};
-
-  // Interval reasoning on the difference: Delta = addr0 - addr1.
-  {
-    const Expr *Sub = Ctx.mkSub(R0.Addr, R1.Addr);
-    MemRel R = relFromDiffInterval(P.intervalOf(Sub), R0.Size, R1.Size);
-    if (R != MemRel::Unknown)
-      return Decision{R, Tier::Interval, false};
-  }
-
-  if (Cfg.AllocClassAssumptions &&
-      distinctClasses(classifyAddr(R0.Addr, Ctx),
-                      classifyAddr(R1.Addr, Ctx))) {
-    Assumptions.push_back(Assumption{
-        "ASSUME " + R0.str(Ctx) + " SEPARATE FROM " + R1.str(Ctx) +
-        " (distinct allocation classes)"});
-    return Decision{MemRel::MustSep, Tier::AllocClass, false};
-  }
-
-#ifdef HGLIFT_WITH_Z3
-  // Without range clauses Z3 has no information beyond the syntactic core
-  // and every query would come back Unknown; skip the round trip.
-  if (Z3 && !P.ranges().empty()) {
-    ++S.Z3Queries;
-    if (LS)
-      ++LS->Z3Queries;
-    MemRel R = Z3->query(R0, R1, P, Ctx, /*Persistent=*/false);
-    S.Z3TransEvictions = Z3->numEvictions();
-    if (R != MemRel::Unknown)
-      return Decision{R, Tier::Z3, false};
-  }
-#endif
-
-  return Decision{MemRel::Unknown, Tier::None, false};
+  return Decision{MemRel::Unknown, Tier::None};
 }
 
 RelationSolver::Decision
@@ -594,7 +501,7 @@ RelationSolver::decideWithTierOnly(const Region &R0, const Region &R1,
   switch (Only) {
   case Tier::Syntactic: {
     if (R0.Addr == R1.Addr && R0.Size == R1.Size)
-      return Decision{MemRel::MustAlias, Tier::Syntactic, false};
+      return Decision{MemRel::MustAlias, Tier::Syntactic};
     LinearForm L0 = expr::linearize(R0.Addr);
     LinearForm L1 = expr::linearize(R1.Addr);
     if (L0.sameBase(L1))
@@ -602,21 +509,20 @@ RelationSolver::decideWithTierOnly(const Region &R0, const Region &R1,
                                      static_cast<uint64_t>(L0.Constant) -
                                      static_cast<uint64_t>(L1.Constant)),
                                  R0.Size, R1.Size),
-                      Tier::Syntactic, false};
-    return Decision{MemRel::Unknown, Tier::None, false};
+                      Tier::Syntactic};
+    return Decision{MemRel::Unknown, Tier::None};
   }
   case Tier::Interval: {
     LinearForm Diff =
         subForms(expr::linearize(R0.Addr), expr::linearize(R1.Addr));
     MemRel R = relFromDiffInterval(P.intervalOfForm(Diff), R0.Size, R1.Size);
-    return Decision{R, R != MemRel::Unknown ? Tier::Interval : Tier::None,
-                    false};
+    return Decision{R, R != MemRel::Unknown ? Tier::Interval : Tier::None};
   }
   case Tier::AllocClass: {
     if (distinctClasses(classifyAddr(R0.Addr, Ctx),
                         classifyAddr(R1.Addr, Ctx)))
-      return Decision{MemRel::MustSep, Tier::AllocClass, false};
-    return Decision{MemRel::Unknown, Tier::None, false};
+      return Decision{MemRel::MustSep, Tier::AllocClass};
+    return Decision{MemRel::Unknown, Tier::None};
   }
   case Tier::Z3: {
 #ifdef HGLIFT_WITH_Z3
@@ -624,16 +530,15 @@ RelationSolver::decideWithTierOnly(const Region &R0, const Region &R1,
       // The trusted oracle: a fresh solver, no admission filter, no
       // empty-ranges skip.
       MemRel R = Z3->query(R0, R1, P, Ctx, /*Persistent=*/false);
-      return Decision{R, R != MemRel::Unknown ? Tier::Z3 : Tier::None,
-                      false};
+      return Decision{R, R != MemRel::Unknown ? Tier::Z3 : Tier::None};
     }
 #endif
-    return Decision{MemRel::Unknown, Tier::None, false};
+    return Decision{MemRel::Unknown, Tier::None};
   }
   case Tier::None:
     break;
   }
-  return Decision{MemRel::Unknown, Tier::None, false};
+  return Decision{MemRel::Unknown, Tier::None};
 }
 
 bool RelationSolver::mustEqual(const Expr *E0, const Expr *E1,
@@ -646,20 +551,13 @@ bool RelationSolver::mustEqual(const Expr *E0, const Expr *E1,
     return L0.Constant == L1.Constant;
 #ifdef HGLIFT_WITH_Z3
   if (Z3) {
-    if (!Cfg.EnableCache)
-      return Z3->mustEqual(E0, E1, P, Ctx);
     EqKey Key{E0, E1, P.version()};
     if (auto It = EqCache.find(Key); It != EqCache.end()) {
-      ++S.CacheHits;
-      if (LS)
-        ++LS->RelCacheHits;
+      ++LS->RelCacheHits;
       return It->second;
     }
-    ++S.CacheMisses;
-    if (LS)
-      ++LS->RelCacheMisses;
+    ++LS->RelCacheMisses;
     bool Eq = Z3->mustEqual(E0, E1, P, Ctx);
-    S.Z3TransEvictions = Z3->numEvictions();
     boundCaches(Key.Ver);
     EqCache.emplace(Key, Eq);
     return Eq;

@@ -21,12 +21,10 @@
 //           empirically) cannot yield a definite relation; a skipped
 //           query degrades to Unknown, which is always sound.
 //
-// Config::Portfolio = false is the ablation switch back to the historical
-// single-pass path: no linearization memo, no admission filter, a fresh Z3
-// solver per query. bench_shard measures what the portfolio buys; the
-// differential harness (tests/solver_portfolio_test.cpp) replays recorded
-// queries through each tier in isolation and checks that no cheap tier
-// ever contradicts Z3.
+// The differential harness (tests/solver_portfolio_test.cpp, and
+// bench_shard's differential phase) replays recorded queries through each
+// tier in isolation (decideWithTierOnly) and checks that no cheap tier
+// ever contradicts a forced Z3 replay, the solver's reference.
 //
 // Results are cached. The cache key is the exact query identity
 //   (addr0, size0, addr1, size1, Pred::version())
@@ -35,12 +33,11 @@
 // key's hash function) and the version is the predicate's monotone stamp.
 // Invalidation rule: any clause mutation re-stamps the Pred from a
 // process-wide counter, so entries keyed under the old stamp can never be
-// hit again — mutation IS invalidation. When the map reaches Config::
-// CacheCap, stale-version entries are swept (counted in Stats::
-// CacheInvalidated); if the sweep frees nothing, the still-live entries
-// are cleared (counted separately in Stats::CacheEvicted). mustEqual() is
-// memoized the same way. Counters are mirrored into LiftStats for
-// --stats-json.
+// hit again — mutation IS invalidation. When the maps reach CacheCap,
+// stale-version entries are swept (LiftStats::RelCacheInvalidated); if the
+// sweep frees nothing, the still-live entries are cleared (counted
+// separately in LiftStats::RelCacheEvicted). mustEqual() is memoized the
+// same way. Every counter is written once, into the attached LiftStats.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,33 +98,26 @@ public:
     /// (recorded as proof obligations). Turning this off is the rigorous
     /// but mostly-useless mode discussed in §1.
     bool AllocClassAssumptions = true;
-    /// The tiered portfolio: linearization memo, direct linear-form
-    /// difference arithmetic, strengthened tier-1 bounds, the tier-2
-    /// admission filter, and the persistent Z3 context. Off is the
-    /// historical single-pass path (ablation mode of bench_shard).
-    bool Portfolio = true;
     /// Record every *computed* decision (query, a copy of the predicate,
     /// result, deciding tier) for differential replay. Off by default —
     /// predicate copies are cheap but not free.
     bool LogQueries = false;
-    /// Cap on the query log (oldest entries are simply not recorded past
-    /// the cap; the differential harness replays a bounded corpus).
-    size_t LogCap = 1u << 16;
-    /// Memoize relate()/mustEqual() per (addresses, sizes, Pred version).
-    /// Off is the ablation mode of bench_step1_hotpath.
-    bool EnableCache = true;
-    /// Combined entry cap for the two memo maps. At the cap, entries whose
-    /// version differs from the current query's are swept first; if the
-    /// sweep frees nothing (single hot predicate) the maps are cleared.
-    size_t CacheCap = 1u << 16;
     bool operator==(const Config &) const = default;
   };
+
+  /// Combined entry cap for the relate()/mustEqual() memo maps. At the
+  /// cap, entries whose version differs from the current query's are
+  /// swept first; if the sweep frees nothing (single hot predicate) the
+  /// maps are cleared.
+  static constexpr size_t CacheCap = 1u << 16;
+  /// Cap on the query log (entries past the cap are simply not recorded;
+  /// the differential harness replays a bounded corpus).
+  static constexpr size_t LogCap = 1u << 16;
 
   /// One decide() outcome: the relation plus where it came from.
   struct Decision {
     MemRel Rel = MemRel::Unknown;
     Tier DecidedBy = Tier::None;
-    bool CacheHit = false;
   };
 
   explicit RelationSolver(expr::ExprContext &Ctx)
@@ -182,78 +172,31 @@ public:
   /// stores PODs; rendering happens only here, on the cold path.
   std::vector<std::string> recentQueries(size_t Max = 4) const;
 
-  /// Statistics for the ablation bench. The per-tier hit counters count
-  /// *computed* decisions only; cache hits re-deliver a decision without
-  /// re-attributing it.
-  struct Stats {
-    uint64_t Queries = 0;
-    /// Tier 0: syntactic identity or constant linear difference.
-    uint64_t SyntacticHits = 0;
-    /// Tier 1: interval reasoning decided it.
-    uint64_t IntervalHits = 0;
-    /// Assumption layer: distinct allocation classes.
-    uint64_t ClassAssumptionHits = 0;
-    /// Tier-2 round trips actually made (includes Unknown answers).
-    uint64_t Z3Queries = 0;
-    /// Tier 2 decided it (Z3 returned a definite relation).
-    uint64_t Z3Hits = 0;
-    /// Tier-2 round trips the admission filter skipped (Portfolio only;
-    /// includes the empty-ranges skip, which the legacy path also takes
-    /// but does not count).
-    uint64_t Tier2Skipped = 0;
-    /// Queries that fell through every tier (answered Unknown).
-    uint64_t Fallthroughs = 0;
-    /// relate()/mustEqual() answered from the version-keyed memo.
-    uint64_t CacheHits = 0;
-    /// Cache enabled but the key was absent (answered uncached, inserted).
-    uint64_t CacheMisses = 0;
-    /// Stale-version entries dropped by the sweep at CacheCap (their Pred
-    /// was mutated; the keys could never be hit again).
-    uint64_t CacheInvalidated = 0;
-    /// Live-version entries cleared because the sweep freed nothing at
-    /// the cap (single hot predicate); these were still hittable.
-    uint64_t CacheEvicted = 0;
-    /// Wall-clock seconds spent computing uncached decisions — the
-    /// portfolio's "query time". Cache hits cost the same in every mode
-    /// and are excluded.
-    double DecideSeconds = 0;
-    /// Z3 expression-translation cache evictions (bounded cache in the
-    /// backend; mirrored here so --stats-json can report it).
-    uint64_t Z3TransEvictions = 0;
-    /// Persistent-context reuses: tier-2 queries whose base assertions
-    /// (the predicate's range clauses) were already asserted because the
-    /// previous query saw the same Pred version (mirrored from the
-    /// backend).
-    uint64_t Z3CtxReuses = 0;
-  };
-  const Stats &stats() const { return S; }
-
-  /// Optional per-function stats sink: mirrors Queries/Z3Queries into the
-  /// lifting engine's LiftStats. Pass nullptr to detach. Not synchronized —
-  /// one solver, one lifting thread.
-  void setLiftStats(LiftStats *Sink) { LS = Sink; }
+  /// The per-function stats sink every solver counter is written to (the
+  /// SolverQueries, Z3Queries, SolverTier*, SolverSeconds and RelCache*
+  /// fields of LiftStats). The per-tier counters count *computed*
+  /// decisions only; cache hits re-deliver a decision without
+  /// re-attributing it. Pass nullptr to detach: counters then go nowhere.
+  /// Not synchronized — one solver, one lifting thread.
+  void setLiftStats(LiftStats *Sink) { LS = Sink ? Sink : &Detached; }
 
 private:
-  /// The tier ladder (portfolio or legacy single-pass, per Config).
-  Decision decideUncached(const Region &R0, const Region &R1,
-                          const pred::Pred &P);
+  /// The tier ladder.
   Decision decidePortfolio(const Region &R0, const Region &R1,
                            const pred::Pred &P);
-  Decision decideLegacy(const Region &R0, const Region &R1,
-                        const pred::Pred &P);
-  /// decideUncached plus bookkeeping: per-tier counters, decide-time
+  /// decidePortfolio plus bookkeeping: per-tier counters, decide-time
   /// accounting, the query ring, the query log, and the solver_call trace
   /// event.
   Decision decideRecorded(const Region &R0, const Region &R1,
                           const pred::Pred &P);
 
-  /// Memoized linearization (portfolio only; bounded).
+  /// Memoized linearization (bounded).
   const expr::LinearForm &linearizeMemo(const expr::Expr *E);
   /// Sorted leaf atoms (Vars and Derefs, Derefs opaque) of E (memoized).
   const std::vector<const expr::Expr *> &leavesOf(const expr::Expr *E);
 
-  /// Tier-2 admission filter (portfolio only): true if the Z3 round trip
-  /// is skipped. See the .cpp for the two rules and their justification.
+  /// Tier-2 admission filter: true if the Z3 round trip is skipped. See
+  /// the .cpp for the two rules and their justification.
   bool admitSkipsZ3(const Region &R0, const Region &R1,
                     const expr::LinearForm &L0, const expr::LinearForm &L1,
                     const pred::Pred &P);
@@ -309,8 +252,9 @@ private:
 
   expr::ExprContext &Ctx;
   Config Cfg;
-  Stats S;
-  LiftStats *LS = nullptr;
+  /// Where counters land while no sink is attached; never read.
+  LiftStats Detached;
+  LiftStats *LS = &Detached;
   std::vector<Assumption> Assumptions;
   std::vector<LoggedQuery> Log;
   QueryRec Recent[QueryRingSize];
@@ -318,7 +262,7 @@ private:
   std::unique_ptr<Z3Backend> Z3;
   std::unordered_map<RelKey, CachedRel, RelKeyHash> RelCache;
   std::unordered_map<EqKey, bool, EqKeyHash> EqCache;
-  /// Portfolio memos, all bounded by clearing at MemoCap entries. Keyed on
+  /// Tier memos, all bounded by clearing at MemoCap entries. Keyed on
   /// interned pointers, so they never go stale within one arena.
   static constexpr size_t MemoCap = 1u << 13;
   std::unordered_map<const expr::Expr *, expr::LinearForm> LinMemo;

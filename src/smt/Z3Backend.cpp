@@ -156,24 +156,20 @@ Z3Backend::~Z3Backend() = default;
 Z3Backend::Impl &Z3Backend::impl() {
   if (!I)
     I = std::make_unique<Impl>();
-  else if (I->Cache.size() > Impl::MaxCacheEntries) {
+  else if (I->Cache.size() > Impl::MaxCacheEntries)
     I->Cache.clear();
-    ++Evictions;
-  }
   return *I;
 }
 
 MemRel Z3Backend::query(const Region &R0, const Region &R1,
                         const pred::Pred &P, const ExprContext &Ctx,
                         bool Persistent) {
-  ++Queries;
   Impl &Z = impl();
   try {
     // Pick the solver. Persistent mode keeps one solver alive and only
     // re-asserts the predicate's range clauses when the version stamp
     // changes (equal stamps imply identical clause content, so reuse is
-    // exact); the throwaway path builds a fresh solver per query, the
-    // historical cost model.
+    // exact); the throwaway path builds a fresh solver per query.
     std::optional<z3::solver> Fresh;
     z3::solver *SP = nullptr;
     if (Persistent) {
@@ -190,9 +186,6 @@ MemRel Z3Backend::query(const Region &R0, const Region &R1,
           SP->add(Z.rangeConstraint(RC, Ctx));
         Z.PersistVer = P.version();
         Z.PersistValid = true;
-        ++CtxResets;
-      } else {
-        ++CtxReuses;
       }
     } else {
       Fresh.emplace(Z.C);
@@ -241,7 +234,6 @@ MemRel Z3Backend::query(const Region &R0, const Region &R1,
 
 bool Z3Backend::mustEqual(const Expr *E0, const Expr *E1, const pred::Pred &P,
                           const ExprContext &Ctx) {
-  ++Queries;
   Impl &Z = impl();
   try {
     z3::solver S(Z.C);

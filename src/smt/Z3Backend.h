@@ -39,8 +39,8 @@ public:
   /// the same version reuse the asserted base (push/pop frames carry only
   /// the per-probe overlap conditions); a version change resets and
   /// re-asserts. Equal stamps guarantee identical clause content, so reuse
-  /// is exact, never heuristic. Persistent=false is the historical
-  /// throwaway-solver path.
+  /// is exact, never heuristic. Persistent=false builds a throwaway
+  /// solver per query (the forced-Z3 reference replay).
   MemRel query(const Region &R0, const Region &R1, const pred::Pred &P,
                const expr::ExprContext &Ctx, bool Persistent = false);
 
@@ -48,30 +48,15 @@ public:
   bool mustEqual(const expr::Expr *E0, const expr::Expr *E1,
                  const pred::Pred &P, const expr::ExprContext &Ctx);
 
-  uint64_t numQueries() const { return Queries; }
-
-  /// Times the bounded expression-translation cache was cleared because it
-  /// reached its cap (checked between top-level queries, so in-flight
-  /// z3::expr references are never dropped mid-translation).
-  uint64_t numEvictions() const { return Evictions; }
-
-  /// Persistent-mode queries that reused the already-asserted base (same
-  /// Pred version as the previous query) instead of re-asserting it.
-  uint64_t numCtxReuses() const { return CtxReuses; }
-  /// Persistent-mode base re-assertions (version changed, or first use).
-  uint64_t numCtxResets() const { return CtxResets; }
-
 private:
   struct Impl;
   /// The Z3 state, created on first use. Also enforces the
-  /// translation-cache bound, so it is called once at each query's entry.
+  /// translation-cache bound (checked between top-level queries, so
+  /// in-flight z3::expr references are never dropped mid-translation), so
+  /// it is called once at each query's entry.
   Impl &impl();
 
   std::unique_ptr<Impl> I;
-  uint64_t Queries = 0;
-  uint64_t Evictions = 0;
-  uint64_t CtxReuses = 0;
-  uint64_t CtxResets = 0;
 };
 
 } // namespace hglift::smt

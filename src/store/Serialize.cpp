@@ -580,10 +580,8 @@ bool readGraph(Reader &R, const std::vector<const Expr *> &Table,
 // --- digests ---------------------------------------------------------------
 
 uint64_t configDigest(const hg::LiftConfig &Cfg) {
-  // Every field here is visible in lifted results; Threads, MaxSeconds and
-  // the pure-performance cache knobs (Solver.EnableCache/CacheCap,
-  // LiftConfig::LeqMemo) are bit-invisible at fixed exploration order and
-  // deliberately excluded so flipping them still hits.
+  // Every field here is visible in lifted results; Threads and MaxSeconds
+  // are deliberately excluded so flipping them still hits.
   uint64_t H = FnvOffset;
   H = fnv1aU64(H, static_cast<uint64_t>(Cfg.Sym.Policy));
   H = fnv1aU64(H, Cfg.Sym.MaxJumpTableEntries);
@@ -591,7 +589,6 @@ uint64_t configDigest(const hg::LiftConfig &Cfg) {
   H = fnv1aU64(H, Cfg.MaxVertices);
   H = fnv1aU64(H, Cfg.EnableJoin);
   H = fnv1aU64(H, Cfg.CtrlImmediateException);
-  H = fnv1aU64(H, Cfg.OrderedWorklist);
   H = fnv1aU64(H, Cfg.Solver.AllocClassAssumptions);
   H = fnv1aU64(H, Cfg.Sym.Vsa ? 2 : 1);
   H = fnv1aU64(H, Cfg.Sym.VsaMaxTargets);

@@ -53,8 +53,7 @@ struct LiftStats {
   /// Queries every tier fell through (answered Unknown).
   uint64_t SolverFallthroughs = 0;
   /// Wall-clock seconds spent computing uncached relation decisions (the
-  /// portfolio's "query time"; cache hits cost the same in every mode and
-  /// are excluded).
+  /// portfolio's "query time"; cache hits are excluded).
   double SolverSeconds = 0;
   /// Relation-solver queries answered from the version-keyed memo.
   uint64_t RelCacheHits = 0;

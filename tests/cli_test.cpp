@@ -528,9 +528,6 @@ driver::CommandLine randomCommandLine(Rng &R, driver::Command Cmd) {
     L.EnableJoin = Coin();
     if (Coin())
       L.Sym.Policy = mem::UnknownPolicy::DestroyAlways;
-    L.Solver.EnableCache = L.LeqMemo = Coin();
-    L.OrderedWorklist = Coin();
-    L.Solver.Portfolio = Coin();
     L.Sym.Vsa = Coin();
     L.Sym.VsaMaxTargets = 1 + unsigned(R.below(500));
     L.MaxSeconds = Secs();

@@ -1,13 +1,12 @@
 //===- relation_cache_test.cpp - Hot-path caching correctness ------------===//
 //
 // The caching layer must be invisible: every answer a cached solver gives
-// is the answer the uncached solver gives, mutating a predicate can never
-// resurrect a stale entry, and the whole lifting pipeline produces
-// bit-identical results with the caches on — serially and in parallel.
-// The two worklist orders must agree on graph structure (vertices, edges,
-// outcomes); their invariants may differ because join order matters in a
-// non-distributive domain. These tests pin each of those properties
-// directly; bench_step1_hotpath measures what the caches buy.
+// is the answer a solver with an empty cache gives, mutating a predicate
+// can never resurrect a stale entry, the leq memo answers exactly
+// Pred::leq / MemModel::leq, and the lifting pipeline produces identical
+// results serially and in parallel. Both caches are always on; these tests
+// pin each property directly, on synthetic queries and on the traffic of
+// real lifts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 using namespace hglift;
 using expr::Expr;
@@ -144,14 +144,15 @@ std::vector<const Expr *> addrPool(ExprContext &Ctx, const Pred &P) {
 TEST(RelationCache, CachedMatchesUncachedRandomized) {
   // The exactness property: for a randomized workload of relate() and
   // mustEqual() queries — with repeats, so the cache actually hits — the
-  // cached solver and the uncached solver agree on every single answer.
-  // Z3 is off so both solvers are pure functions of their inputs.
+  // long-lived solver agrees on every single answer with a fresh solver
+  // whose cache is empty. Z3 is off so both are pure functions of their
+  // inputs.
   ExprContext Ctx;
-  RelationSolver::Config On, Off;
-  On.UseZ3 = Off.UseZ3 = false;
-  On.EnableCache = true;
-  Off.EnableCache = false;
-  RelationSolver Cached(Ctx, On), Uncached(Ctx, Off);
+  RelationSolver::Config Cfg;
+  Cfg.UseZ3 = false;
+  RelationSolver Cached(Ctx, Cfg);
+  LiftStats Stats;
+  Cached.setLiftStats(&Stats);
 
   Pred P = Pred::entry(Ctx);
   std::vector<const Expr *> Pool = addrPool(Ctx, P);
@@ -164,20 +165,19 @@ TEST(RelationCache, CachedMatchesUncachedRandomized) {
                 Sizes[R.next() % std::size(Sizes)]};
       Region R1{Pool[R.next() % Pool.size()],
                 Sizes[R.next() % std::size(Sizes)]};
-      ASSERT_EQ(Cached.relate(R0, R1, P), Uncached.relate(R0, R1, P))
+      RelationSolver Fresh(Ctx, Cfg);
+      ASSERT_EQ(Cached.relate(R0, R1, P), Fresh.relate(R0, R1, P))
           << "round " << Round << " query " << I << ": " << R0.str(Ctx)
           << " vs " << R1.str(Ctx);
       ASSERT_EQ(Cached.mustEqual(R0.Addr, R1.Addr, P),
-                Uncached.mustEqual(R0.Addr, R1.Addr, P));
+                RelationSolver(Ctx, Cfg).mustEqual(R0.Addr, R1.Addr, P));
     }
     // Evolve the predicate between rounds; old entries must never leak.
     const Expr *Idx = Ctx.mkTrunc(Pool[5], 32);
     P.addRange(Idx, RelOp::ULe, 2 + static_cast<uint64_t>(Round));
   }
-  EXPECT_GT(Cached.stats().CacheHits, 0u) << "workload never hit the cache";
-  EXPECT_GT(Cached.stats().CacheMisses, 0u);
-  EXPECT_EQ(Uncached.stats().CacheHits, 0u);
-  EXPECT_EQ(Uncached.stats().CacheMisses, 0u);
+  EXPECT_GT(Stats.RelCacheHits, 0u) << "workload never hit the cache";
+  EXPECT_GT(Stats.RelCacheMisses, 0u);
 }
 
 TEST(RelationCache, RepeatQueryHitsMutationMisses) {
@@ -185,24 +185,26 @@ TEST(RelationCache, RepeatQueryHitsMutationMisses) {
   RelationSolver::Config Cfg;
   Cfg.UseZ3 = false;
   RelationSolver S(Ctx, Cfg);
+  LiftStats Stats;
+  S.setLiftStats(&Stats);
   Pred P = Pred::entry(Ctx);
   const Expr *Rsp0 = P.reg64(x86::Reg::RSP);
   Region R0{Ctx.mkAddK(Rsp0, -8), 8}, R1{Rsp0, 8};
 
   EXPECT_EQ(S.relate(R0, R1, P), MemRel::MustSep);
-  uint64_t Misses = S.stats().CacheMisses;
-  EXPECT_EQ(S.stats().CacheHits, 0u);
+  uint64_t Misses = Stats.RelCacheMisses;
+  EXPECT_EQ(Stats.RelCacheHits, 0u);
   EXPECT_EQ(S.relate(R0, R1, P), MemRel::MustSep);
-  EXPECT_EQ(S.stats().CacheHits, 1u) << "identical re-query must hit";
-  EXPECT_EQ(S.stats().CacheMisses, Misses);
+  EXPECT_EQ(Stats.RelCacheHits, 1u) << "identical re-query must hit";
+  EXPECT_EQ(Stats.RelCacheMisses, Misses);
 
   // Any mutation re-stamps P: same regions, fresh version, cache miss.
   uint64_t OldVer = P.version();
   P.setReg64(x86::Reg::RAX, Ctx.mkConst(1, 64));
   EXPECT_NE(P.version(), OldVer);
   EXPECT_EQ(S.relate(R0, R1, P), MemRel::MustSep);
-  EXPECT_EQ(S.stats().CacheHits, 1u);
-  EXPECT_EQ(S.stats().CacheMisses, Misses + 1)
+  EXPECT_EQ(Stats.RelCacheHits, 1u);
+  EXPECT_EQ(Stats.RelCacheMisses, Misses + 1)
       << "mutated predicate must not hit entries of its old version";
 }
 
@@ -236,26 +238,40 @@ TEST(RelationCache, MutationNeverResurrectsStaleAnswer) {
       << "stale MustSep survived the mutation";
 }
 
+/// Distinct stack regions rsp0 - 8k, k < N: relating every ordered pair
+/// under one predicate version fills N * N cache entries.
+std::vector<Region> stackRegions(ExprContext &Ctx, const Pred &P, int64_t N) {
+  std::vector<Region> Rs;
+  for (int64_t K = 0; K < N; ++K)
+    Rs.push_back(Region{Ctx.mkAddK(P.reg64(x86::Reg::RSP), -8 * K), 8});
+  return Rs;
+}
+
 TEST(RelationCache, CapSweepsStaleVersions) {
   ExprContext Ctx;
   RelationSolver::Config Cfg;
   Cfg.UseZ3 = false;
-  Cfg.CacheCap = 8;
   RelationSolver S(Ctx, Cfg);
+  LiftStats Stats;
+  S.setLiftStats(&Stats);
   Pred P = Pred::entry(Ctx);
-  const Expr *Rsp0 = P.reg64(x86::Reg::RSP);
+  std::vector<Region> Rs = stackRegions(Ctx, P, 64);
 
-  // Far more distinct (query, version) pairs than the cap can hold.
-  for (int Round = 0; Round < 16; ++Round) {
-    for (int64_t K = 0; K < 8; ++K)
-      S.relate(Region{Ctx.mkAddK(Rsp0, -8 * K), 8}, Region{Rsp0, 8}, P);
+  // More distinct (query, version) pairs than the cap holds: 64 * 64
+  // entries per version, then a mutation re-stamps the predicate.
+  const size_t Rounds = RelationSolver::CacheCap / (64 * 64) + 2;
+  for (size_t Round = 0; Round < Rounds; ++Round) {
+    for (const Region &A : Rs)
+      for (const Region &B : Rs)
+        S.relate(A, B, P);
     P.setReg64(x86::Reg::RAX, Ctx.mkConst(Round, 64));
   }
-  EXPECT_GT(S.stats().CacheInvalidated, 0u)
+  EXPECT_GT(Stats.RelCacheInvalidated, 0u)
       << "cap never triggered the stale sweep";
+  EXPECT_EQ(Stats.RelCacheEvicted, 0u)
+      << "stale entries were there to sweep; nothing live had to go";
   // Exactness survives the churn.
-  EXPECT_EQ(S.relate(Region{Ctx.mkAddK(Rsp0, -8), 8}, Region{Rsp0, 8}, P),
-            MemRel::MustSep);
+  EXPECT_EQ(S.relate(Rs[1], Rs[0], P), MemRel::MustSep);
 }
 
 TEST(RelationCache, CapEvictsLiveEntriesWhenSweepFreesNothing) {
@@ -267,19 +283,23 @@ TEST(RelationCache, CapEvictsLiveEntriesWhenSweepFreesNothing) {
   ExprContext Ctx;
   RelationSolver::Config Cfg;
   Cfg.UseZ3 = false;
-  Cfg.CacheCap = 8;
   RelationSolver S(Ctx, Cfg);
+  LiftStats Stats;
+  S.setLiftStats(&Stats);
   Pred P = Pred::entry(Ctx);
-  const Expr *Rsp0 = P.reg64(x86::Reg::RSP);
-
-  for (int64_t K = 0; K < 64; ++K)
-    S.relate(Region{Ctx.mkAddK(Rsp0, -8 * K), 8}, Region{Rsp0, 8}, P);
-  EXPECT_GT(S.stats().CacheEvicted, 0u)
+  // N * N > CacheCap distinct queries under a single version.
+  int64_t N = 1;
+  while (static_cast<size_t>(N * N) <= RelationSolver::CacheCap)
+    ++N;
+  std::vector<Region> Rs = stackRegions(Ctx, P, N);
+  for (const Region &A : Rs)
+    for (const Region &B : Rs)
+      S.relate(A, B, P);
+  EXPECT_GT(Stats.RelCacheEvicted, 0u)
       << "cap under a single live version never cleared";
-  EXPECT_EQ(S.stats().CacheInvalidated, 0u)
+  EXPECT_EQ(Stats.RelCacheInvalidated, 0u)
       << "live-entry clears must not masquerade as stale sweeps";
-  EXPECT_EQ(S.relate(Region{Ctx.mkAddK(Rsp0, -8), 8}, Region{Rsp0, 8}, P),
-            MemRel::MustSep);
+  EXPECT_EQ(S.relate(Rs[1], Rs[0], P), MemRel::MustSep);
 }
 
 TEST(RelationCache, NoSweepCountersBelowCap) {
@@ -291,8 +311,10 @@ TEST(RelationCache, NoSweepCountersBelowCap) {
   // predicate mutates.
   ExprContext Ctx;
   RelationSolver::Config Cfg;
-  Cfg.UseZ3 = false; // default CacheCap (1 << 16), far above this traffic
+  Cfg.UseZ3 = false;
   RelationSolver S(Ctx, Cfg);
+  LiftStats Stats;
+  S.setLiftStats(&Stats);
   Pred P = Pred::entry(Ctx);
   const Expr *Rsp0 = P.reg64(x86::Reg::RSP);
   for (int Round = 0; Round < 8; ++Round) {
@@ -300,41 +322,9 @@ TEST(RelationCache, NoSweepCountersBelowCap) {
       S.relate(Region{Ctx.mkAddK(Rsp0, -8 * K), 8}, Region{Rsp0, 8}, P);
     P.setReg64(x86::Reg::RAX, Ctx.mkConst(Round, 64));
   }
-  EXPECT_EQ(S.stats().CacheInvalidated, 0u);
-  EXPECT_EQ(S.stats().CacheEvicted, 0u);
-  EXPECT_GT(S.stats().CacheMisses, 0u);
-}
-
-TEST(RelationCache, LiftStatsMirrorsSweepAndEvictionCounters) {
-  // --stats-json reads the LiftStats mirror, not RelationSolver::Stats;
-  // the two must agree for every counter the report exposes.
-  ExprContext Ctx;
-  RelationSolver::Config Cfg;
-  Cfg.UseZ3 = false;
-  Cfg.CacheCap = 8;
-  RelationSolver S(Ctx, Cfg);
-  hglift::LiftStats LS;
-  S.setLiftStats(&LS);
-  Pred P = Pred::entry(Ctx);
-  const Expr *Rsp0 = P.reg64(x86::Reg::RSP);
-
-  // Phase 1: churn versions so the cap triggers stale sweeps.
-  for (int Round = 0; Round < 16; ++Round) {
-    for (int64_t K = 0; K < 8; ++K)
-      S.relate(Region{Ctx.mkAddK(Rsp0, -8 * K), 8}, Region{Rsp0, 8}, P);
-    P.setReg64(x86::Reg::RAX, Ctx.mkConst(Round, 64));
-  }
-  // Phase 2: hammer one version so the cap forces live evictions.
-  for (int64_t K = 0; K < 64; ++K)
-    S.relate(Region{Ctx.mkAddK(Rsp0, -8 * K), 8}, Region{Rsp0, 8}, P);
-
-  EXPECT_GT(S.stats().CacheInvalidated, 0u);
-  EXPECT_GT(S.stats().CacheEvicted, 0u);
-  EXPECT_EQ(LS.RelCacheInvalidated, S.stats().CacheInvalidated);
-  EXPECT_EQ(LS.RelCacheEvicted, S.stats().CacheEvicted);
-  EXPECT_EQ(LS.RelCacheHits, S.stats().CacheHits);
-  EXPECT_EQ(LS.RelCacheMisses, S.stats().CacheMisses);
-  EXPECT_EQ(LS.SolverQueries, S.stats().Queries);
+  EXPECT_EQ(Stats.RelCacheInvalidated, 0u);
+  EXPECT_EQ(Stats.RelCacheEvicted, 0u);
+  EXPECT_GT(Stats.RelCacheMisses, 0u);
 }
 
 // --- the leq memo ---------------------------------------------------------
@@ -383,13 +373,155 @@ TEST(StateLeqMemo, MatchesDirectLeq) {
   }
   EXPECT_GT(Stats.LeqHits, 0u) << "repeated probes never hit the memo";
   EXPECT_GT(Stats.LeqMisses, 0u);
+}
 
-  // Disabled memo forwards and stops counting hits.
-  uint64_t Hits = Stats.LeqHits;
-  Memo.setEnabled(false);
-  for (const Pred &A : Preds)
-    ASSERT_EQ(Memo.predLeq(A, Preds[0]), Pred::leq(A, Preds[0]));
-  EXPECT_EQ(Stats.LeqHits, Hits);
+// --- exactness on real traffic --------------------------------------------
+
+corpus::GenOptions trafficLibrary(uint64_t Seed, unsigned Funcs,
+                                  unsigned Instrs, unsigned JumpTablePct) {
+  corpus::GenOptions G;
+  G.Seed = Seed;
+  G.NumFuncs = Funcs;
+  G.TargetInstrs = Instrs;
+  G.JumpTablePct = JumpTablePct;
+  G.Name = "traffic_lib";
+  return G;
+}
+
+/// Lift each corpus program (loops, jump tables, calls, a rejection, and
+/// two loop- and table-heavy generated libraries, the second with
+/// Z3-decided queries) under Cfg and hand every function result to Fn
+/// while its arena is alive.
+template <typename F> void forEachCorpusFunction(const hg::LiftConfig &Cfg,
+                                                 F &&Fn) {
+  std::pair<std::optional<corpus::BuiltBinary>, bool> Corpus[] = {
+      {corpus::branchLoopBinary(), false},
+      {corpus::jumpTableBinary(), false},
+      {corpus::callChainBinary(), false},
+      {corpus::overflowBinary(), false},
+      {corpus::stackProbeBinary(), false},
+      {corpus::widenedGuardTableBinary(), false},
+      {corpus::randomLibrary(trafficLibrary(0x40710a, 6, 120, 30)), true},
+      {corpus::randomLibrary(trafficLibrary(0x5150, 4, 200, 20)), true},
+  };
+  for (auto &[BB, Library] : Corpus) {
+    ASSERT_TRUE(BB.has_value());
+    hg::Lifter L(BB->Img, Cfg);
+    hg::BinaryResult R = Library ? L.liftLibrary() : L.liftBinary();
+    for (hg::FunctionResult &FR : R.Functions)
+      if (FR.Arena)
+        Fn(FR);
+  }
+}
+
+TEST(RelationCache, ExactOnLoggedLiftTraffic) {
+  // Every decision a lift computed, asked again two ways: through the
+  // function's own solver, where it is a cache hit (the logged predicate
+  // copy keeps its version stamp), and through a fresh solver with an
+  // empty cache. Logged, re-asked and fresh answers must agree. Each
+  // logged query is also asked under 16 other logged predicates of the
+  // same function, spread over its log — new versions for the own
+  // solver's cache, where an entry that ignored the version would serve
+  // another predicate's answer.
+  hg::LiftConfig Cfg;
+  Cfg.Solver.LogQueries = true;
+  RelationSolver::Config FreshCfg = Cfg.Solver;
+  FreshCfg.LogQueries = false;
+  size_t Logged = 0, CrossAsked = 0, PredDependent = 0;
+  forEachCorpusFunction(Cfg, [&](hg::FunctionResult &F) {
+    RelationSolver &Own = F.Arena->solver();
+    // A copy: a miss below would append to the live log.
+    const std::vector<RelationSolver::LoggedQuery> Log = Own.queryLog();
+    auto Fresh = [&](const Region &R0, const Region &R1, const Pred &P) {
+      return RelationSolver(F.ctx(), FreshCfg).relate(R0, R1, P);
+    };
+    LiftStats Reask;
+    Own.setLiftStats(&Reask);
+    for (const RelationSolver::LoggedQuery &Q : Log) {
+      Region R0{Q.A0, Q.S0}, R1{Q.A1, Q.S1};
+      ASSERT_EQ(Own.relate(R0, R1, Q.P), Q.Rel)
+          << hexStr(F.Entry) << ": " << R0.str(F.ctx()) << " vs "
+          << R1.str(F.ctx());
+      ASSERT_EQ(Fresh(R0, R1, Q.P), Q.Rel)
+          << hexStr(F.Entry) << ": " << R0.str(F.ctx()) << " vs "
+          << R1.str(F.ctx());
+    }
+    if (F.Stats.RelCacheInvalidated + F.Stats.RelCacheEvicted == 0) {
+      EXPECT_EQ(Reask.RelCacheHits, Log.size())
+          << hexStr(F.Entry) << ": a logged decision was not cached";
+    }
+    constexpr size_t CrossPreds = 16;
+    for (size_t I = 0; I < Log.size(); ++I) {
+      Region R0{Log[I].A0, Log[I].S0}, R1{Log[I].A1, Log[I].S1};
+      for (size_t K = 0; K < CrossPreds; ++K) {
+        const Pred &P =
+            Log[(I + 1 + K * Log.size() / CrossPreds) % Log.size()].P;
+        MemRel Ref = Fresh(R0, R1, P);
+        ASSERT_EQ(Own.relate(R0, R1, P), Ref)
+            << hexStr(F.Entry) << ": " << R0.str(F.ctx()) << " vs "
+            << R1.str(F.ctx()) << " under " << P.str(F.ctx());
+        ++CrossAsked;
+        PredDependent += Ref != Log[I].Rel;
+      }
+    }
+    Own.setLiftStats(nullptr);
+    Logged += Log.size();
+  });
+  EXPECT_GT(Logged, 1000u);
+  EXPECT_GT(CrossAsked, 3000u);
+  // The cross-asks are vacuous unless some answer depends on the
+  // predicate it is asked under.
+  EXPECT_GT(PredDependent, 0u);
+}
+
+TEST(StateLeqMemo, ExactOnLiftedVertexStates) {
+  // Every ordered pair of vertex states at one rip, probed twice through
+  // one memo: each answer must be exactly Pred::leq and MemModel::leq, and
+  // below the memo's cap the second pass is served from it entirely.
+  // Lifts with joining (rips with several control-immediate vertices) and
+  // without (states pile up at each rip; the fuel bound keeps it small).
+  size_t Probed = 0, MixedRows = 0;
+  for (bool Join : {true, false}) {
+    hg::LiftConfig Cfg;
+    Cfg.EnableJoin = Join;
+    Cfg.MaxVertices = 300;
+    forEachCorpusFunction(Cfg, [&](hg::FunctionResult &F) {
+      std::map<uint64_t, std::vector<const sem::SymState *>> ByRip;
+      for (const auto &[Key, V] : F.Graph.Vertices)
+        ByRip[Key.Rip].push_back(&V.State);
+      LiftStats Stats;
+      hg::StateLeqMemo Memo;
+      Memo.setLiftStats(&Stats);
+      size_t Pairs = 0;
+      uint64_t FirstPassMisses = 0;
+      for (int Pass = 0; Pass < 2; ++Pass) {
+        for (const auto &[Rip, States] : ByRip)
+          for (const sem::SymState *A : States) {
+            bool AnyLeq = false, AnyNot = false;
+            for (const sem::SymState *B : States) {
+              bool PL = Pred::leq(A->P, B->P);
+              ASSERT_EQ(Memo.predLeq(A->P, B->P), PL) << hexStr(Rip);
+              ASSERT_EQ(Memo.memLeq(A->M, B->M), mem::MemModel::leq(A->M, B->M))
+                  << hexStr(Rip);
+              (PL ? AnyLeq : AnyNot) = true;
+              Pairs += Pass == 0;
+            }
+            MixedRows += Pass == 0 && AnyLeq && AnyNot;
+          }
+        if (Pass == 0)
+          FirstPassMisses = Stats.LeqMisses;
+      }
+      if (Pairs < hg::StateLeqMemo::Cap) {
+        EXPECT_EQ(Stats.LeqMisses, FirstPassMisses)
+            << hexStr(F.Entry) << ": a repeated probe missed the memo";
+      }
+      Probed += Pairs;
+    });
+  }
+  EXPECT_GT(Probed, 1000u);
+  // A memo that confused (A, B) with (A, B') could only go unnoticed if
+  // no state's answers depended on the second operand.
+  EXPECT_GT(MixedRows, 0u);
 }
 
 // --- whole-pipeline identity ----------------------------------------------
@@ -416,26 +548,6 @@ std::string liftFingerprint(const corpus::BuiltBinary &BB,
   return S;
 }
 
-TEST(HotPath, CachingOnByDefaultAndInvisibleToResults) {
-  // The config defaults are the optimized mode...
-  hg::LiftConfig Def;
-  EXPECT_TRUE(Def.Solver.EnableCache);
-  EXPECT_TRUE(Def.LeqMemo);
-  EXPECT_TRUE(Def.OrderedWorklist);
-  // ...and turning every hot-path optimization off changes nothing
-  // observable (same worklist order, so even fresh names align).
-  hg::LiftConfig Plain;
-  Plain.Solver.EnableCache = false;
-  Plain.LeqMemo = false;
-  for (auto Make : {corpus::branchLoopBinary, corpus::weirdEdgeBinary,
-                    corpus::callChainBinary}) {
-    auto BB = Make();
-    ASSERT_TRUE(BB.has_value());
-    EXPECT_EQ(liftFingerprint(*BB, Def, false),
-              liftFingerprint(*BB, Plain, false));
-  }
-}
-
 TEST(HotPath, SerialAndParallelIdenticalWithCachesOn) {
   // Version stamps are handed out from one process-wide atomic counter, so
   // concurrent lifts interleave stamp *values* — hit/miss behaviour (and
@@ -447,71 +559,13 @@ TEST(HotPath, SerialAndParallelIdenticalWithCachesOn) {
   G.TargetInstrs = 35;
   auto BB = corpus::randomLibrary(G);
   ASSERT_TRUE(BB.has_value());
-  hg::LiftConfig Cfg; // caches on by default
+  hg::LiftConfig Cfg; // both caches are always on
   Cfg.Threads = 1;
   std::string Serial = liftFingerprint(*BB, Cfg, true);
   for (unsigned T : {2u, 4u, 8u}) {
     Cfg.Threads = T;
     EXPECT_EQ(Serial, liftFingerprint(*BB, Cfg, true)) << "threads=" << T;
   }
-}
-
-/// The order-independent structure of a lift: per-function outcome class
-/// and the set of explored instruction addresses. Exploration order
-/// legitimately changes everything finer — joins are order-sensitive in a
-/// non-distributive domain, so LIFO and ordered exploration can stabilize
-/// on different (equally sound) invariants, obligation sets, edges (which
-/// derive from invariant precision at indirect jumps and returns), and
-/// failure messages. What every exhaustive order must agree on is which
-/// instructions are reachable and whether the function lifts.
-std::string shapeFingerprint(const corpus::BuiltBinary &BB,
-                             const hg::LiftConfig &Cfg) {
-  hg::Lifter L(BB.Img, Cfg);
-  hg::BinaryResult R = L.liftBinary();
-  std::string S = std::string(hg::liftOutcomeName(R.Outcome)) + "\n";
-  for (const hg::FunctionResult &F : R.Functions) {
-    S += "fn " + hexStr(F.Entry) + " " + hg::liftOutcomeName(F.Outcome);
-    if (F.Outcome != hg::LiftOutcome::Lifted) {
-      // Everything else about a failed lift — the partial graph, how far
-      // exploration got, even MayReturn — is order-dependent state.
-      S += "\n";
-      continue;
-    }
-    S += " ret " + std::to_string(F.MayReturn) + "\n";
-    std::vector<uint64_t> Rips;
-    for (const auto &[Key, V] : F.Graph.Vertices)
-      if (Key.Rip < 0xfffffffffffffff0ull) // skip synthetic sinks
-        Rips.push_back(Key.Rip);
-    std::sort(Rips.begin(), Rips.end());
-    Rips.erase(std::unique(Rips.begin(), Rips.end()), Rips.end());
-    for (uint64_t Rip : Rips)
-      S += "  i " + hexStr(Rip) + "\n";
-  }
-  return S;
-}
-
-TEST(HotPath, OrderedAndLifoWorklistsAgree) {
-  // Both exploration orders are exhaustive, so they must agree on the
-  // structure: same per-function outcomes, same instructions explored.
-  // (Finer identity across orders is NOT expected — see shapeFingerprint.
-  // Cache on/off identity at a fixed order is the strict test above.)
-  hg::LiftConfig Ord, Lifo;
-  Lifo.OrderedWorklist = false;
-  for (auto Make : {corpus::straightlineBinary, corpus::branchLoopBinary,
-                    corpus::callChainBinary, corpus::weirdEdgeBinary,
-                    corpus::stackProbeBinary}) {
-    auto BB = Make();
-    ASSERT_TRUE(BB.has_value());
-    EXPECT_EQ(shapeFingerprint(*BB, Ord), shapeFingerprint(*BB, Lifo));
-  }
-  // And at the LIFO order too, caching stays bit-invisible.
-  hg::LiftConfig LifoPlain = Lifo;
-  LifoPlain.Solver.EnableCache = false;
-  LifoPlain.LeqMemo = false;
-  auto BB = corpus::branchLoopBinary();
-  ASSERT_TRUE(BB.has_value());
-  EXPECT_EQ(liftFingerprint(*BB, Lifo, false),
-            liftFingerprint(*BB, LifoPlain, false));
 }
 
 } // namespace

@@ -173,9 +173,18 @@ TEST(ShardMerge, MidClaimCrashRequeuesUnitWithUnaffectedReport) {
 
   // Worker 1's first spawn claims a unit and dies before executing it —
   // the claimed-but-unfinished unit must go back to the queue, someone
-  // must lift it, and the merged bytes must not change.
+  // must lift it, and the merged bytes must not change. The crashing run
+  // uses the static round-robin plan: under work stealing, workers 0 and 2
+  // can drain all four units before worker 1 asks, and worker 1 then gets
+  // BYE and never crashes. Statically, binary 1's unit can go only to
+  // worker 1 until it is requeued, so worker 1's first spawn always claims
+  // a unit before it dies.
+  std::string Dir = tmpPath("cache_mc_crashed");
+  fs::remove_all(Dir);
+  shard::ShardOptions O = baseOptions(Dir, 3);
+  O.WorkStealing = false;
   ::setenv("HGLIFT_SHARD_TEST_CRASH_MIDCLAIM", "1", 1);
-  shard::ShardResult Crashed = runFresh("mc_crashed", 3);
+  shard::ShardResult Crashed = shard::runShards(O);
   ::unsetenv("HGLIFT_SHARD_TEST_CRASH_MIDCLAIM");
 
   ASSERT_TRUE(Crashed.Ok) << Crashed.Error;

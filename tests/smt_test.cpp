@@ -22,10 +22,13 @@ namespace {
 struct Fixture {
   ExprContext Ctx;
   RelationSolver Solver{Ctx};
+  LiftStats Stats;
   Pred P{Pred::entry(Ctx)};
   const Expr *Rsp0 = P.reg64(x86::Reg::RSP);
   const Expr *Rdi0 = Ctx.mkVar(VarClass::InitReg, "rdi0");
   const Expr *Rsi0 = Ctx.mkVar(VarClass::InitReg, "rsi0");
+
+  Fixture() { Solver.setLiftStats(&Stats); }
 
   MemRel rel(const Expr *A0, uint32_t S0, const Expr *A1, uint32_t S1) {
     return Solver.relate(Region{A0, S0}, Region{A1, S1}, P);
@@ -153,8 +156,8 @@ TEST(RelationSolver, Z3ResolvesResidualQueries) {
   F.P.addRange(F.Rdi0, RelOp::UGe, 0x600000);
   EXPECT_EQ(F.rel(F.Rdi0, 8, F.Ctx.mkConst(0x500000, 64), 8),
             MemRel::MustSep);
-  EXPECT_GT(F.Solver.stats().Z3Queries, 0u);
-  EXPECT_GT(F.Solver.stats().Z3Hits, 0u);
+  EXPECT_GT(F.Stats.Z3Queries, 0u);
+  EXPECT_GT(F.Stats.SolverTier2Hits, 0u);
 }
 
 TEST(RelationSolver, Z3ProvesAlias) {
@@ -171,10 +174,10 @@ TEST(RelationSolver, Z3ProvesAlias) {
 
 TEST(RelationSolver, StatsAccounting) {
   Fixture F;
-  auto Before = F.Solver.stats().Queries;
+  auto Before = F.Stats.SolverQueries;
   F.rel(F.Rsp0, 8, F.Ctx.mkAddK(F.Rsp0, 32), 8);
-  EXPECT_EQ(F.Solver.stats().Queries, Before + 1);
-  EXPECT_GT(F.Solver.stats().SyntacticHits, 0u);
+  EXPECT_EQ(F.Stats.SolverQueries, Before + 1);
+  EXPECT_GT(F.Stats.SolverTier0Hits, 0u);
 }
 
 /// Property: syntactic decisions agree with concrete evaluation.

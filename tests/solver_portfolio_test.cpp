@@ -39,8 +39,8 @@ namespace {
 bool definite(MemRel R) { return R != MemRel::Unknown; }
 
 /// Lift one corpus binary with query logging on and hand each function's
-/// solver to Fn. The arena (and with it every logged expression) stays
-/// alive for the duration of the callback.
+/// solver and stats to Fn. The arena (and with it every logged expression)
+/// stays alive for the duration of the callback.
 template <typename F>
 void withLoggedLift(std::optional<corpus::BuiltBinary> BB, bool Library,
                     F &&Fn) {
@@ -52,7 +52,7 @@ void withLoggedLift(std::optional<corpus::BuiltBinary> BB, bool Library,
   for (hg::FunctionResult &FR : R.Functions) {
     if (!FR.Arena)
       continue;
-    Fn(FR.Arena->solver());
+    Fn(FR.Arena->solver(), FR.Stats);
   }
 }
 
@@ -108,12 +108,12 @@ size_t replaySolverLog(RelationSolver &S) {
 
 TEST(PortfolioDifferential, CorpusReplayNoTierContradictsZ3) {
   size_t Replayed = 0;
-  withLoggedLift(corpus::branchLoopBinary(), false,
-                 [&](RelationSolver &S) { Replayed += replaySolverLog(S); });
-  withLoggedLift(corpus::jumpTableBinary(), false,
-                 [&](RelationSolver &S) { Replayed += replaySolverLog(S); });
-  withLoggedLift(corpus::overflowBinary(), false,
-                 [&](RelationSolver &S) { Replayed += replaySolverLog(S); });
+  auto Replay = [&](RelationSolver &S, const LiftStats &) {
+    Replayed += replaySolverLog(S);
+  };
+  withLoggedLift(corpus::branchLoopBinary(), false, Replay);
+  withLoggedLift(corpus::jumpTableBinary(), false, Replay);
+  withLoggedLift(corpus::overflowBinary(), false, Replay);
   // A loop/join-heavy generated library: where widening bounds and
   // repeated relation queries actually accumulate.
   corpus::GenOptions G;
@@ -122,27 +122,26 @@ TEST(PortfolioDifferential, CorpusReplayNoTierContradictsZ3) {
   G.TargetInstrs = 120;
   G.JumpTablePct = 30;
   G.Name = "portfolio_lib";
-  withLoggedLift(corpus::randomLibrary(G), true,
-                 [&](RelationSolver &S) { Replayed += replaySolverLog(S); });
+  withLoggedLift(corpus::randomLibrary(G), true, Replay);
   // The harness is vacuous if nothing was logged; the corpus above is
   // known to produce thousands of computed decisions.
   EXPECT_GT(Replayed, 100u);
 }
 
 TEST(PortfolioDifferential, LogRecordsOnlyComputedDecisions) {
-  withLoggedLift(corpus::branchLoopBinary(), false, [&](RelationSolver &S) {
-    const RelationSolver::Stats &St = S.stats();
+  withLoggedLift(corpus::branchLoopBinary(), false,
+                 [&](RelationSolver &S, const LiftStats &St) {
     // The log holds exactly the computed relate() decisions (cache hits
     // are re-deliveries, not new answers; the corpus is far below
     // LogCap), and every one is attributed to exactly one tier or the
     // fallthrough bucket.
-    EXPECT_EQ(St.SyntacticHits + St.IntervalHits + St.ClassAssumptionHits +
-                  St.Z3Hits + St.Fallthroughs,
+    EXPECT_EQ(St.SolverTier0Hits + St.SolverTier1Hits + St.SolverClassHits +
+                  St.SolverTier2Hits + St.SolverFallthroughs,
               S.queryLog().size());
     // The cache counters also cover mustEqual() memoization, so they
     // bound the decide() traffic from above.
-    EXPECT_GE(St.CacheHits + St.CacheMisses, St.Queries);
-    EXPECT_LE(S.queryLog().size(), St.CacheMisses);
+    EXPECT_GE(St.RelCacheHits + St.RelCacheMisses, St.SolverQueries);
+    EXPECT_LE(S.queryLog().size(), St.RelCacheMisses);
   });
 }
 
@@ -151,9 +150,12 @@ TEST(PortfolioDifferential, LogRecordsOnlyComputedDecisions) {
 struct Adversarial : ::testing::Test {
   ExprContext Ctx;
   RelationSolver Solver{Ctx};
+  LiftStats Stats;
   Pred P{Pred::entry(Ctx)};
   const Expr *Idx = Ctx.mkVar(VarClass::InitReg, "rdi0");
   const Expr *Base = Ctx.mkVar(VarClass::InitReg, "rsi0");
+
+  Adversarial() { Solver.setLiftStats(&Stats); }
 
   void expectConsistent(const Expr *A0, uint32_t S0, const Expr *A1,
                         uint32_t S1) {
@@ -216,7 +218,7 @@ TEST_F(Adversarial, ForcedTierIsolationBypassesCache) {
   // replays must not seed entries the live path then serves back.
   const Expr *A = Ctx.mkAddK(P.reg64(x86::Reg::RSP), -8);
   const Expr *B = Ctx.mkAddK(P.reg64(x86::Reg::RSP), -16);
-  uint64_t Hits0 = Solver.stats().CacheHits;
+  uint64_t Hits0 = Stats.RelCacheHits;
   MemRel Live = Solver.decide({A, 8}, {B, 8}, P).Rel;
   EXPECT_EQ(Live, MemRel::MustSep);
   // Forced syntactic replay answers from structure, not from the cache.
@@ -225,7 +227,7 @@ TEST_F(Adversarial, ForcedTierIsolationBypassesCache) {
   // Forced None decides nothing, ever.
   EXPECT_EQ(Solver.decideWithTierOnly({A, 8}, {B, 8}, P, Tier::None).Rel,
             MemRel::Unknown);
-  EXPECT_EQ(Solver.stats().CacheHits, Hits0)
+  EXPECT_EQ(Stats.RelCacheHits, Hits0)
       << "forced replays must not count as cache traffic";
 }
 
