@@ -140,9 +140,10 @@ void BM_Decoder(benchmark::State &State) {
   const corpus::BuiltBinary &BB = workload();
   size_t Avail;
   const uint8_t *Bytes = BB.Img.bytesAt(BB.Img.Entry, Avail);
-  size_t Decoded = 0;
+  size_t Decoded = 0; // instructions in one pass (every pass is the same)
   for (auto _ : State) {
     size_t Off = 0;
+    Decoded = 0;
     while (Off < Avail) {
       x86::Instr I = x86::decodeInstr(Bytes + Off, Avail - Off,
                                       BB.Img.Entry + Off);

@@ -33,7 +33,7 @@ int main() {
       if (!V.Instr.isValid() || !V.Instr.isJump() || V.Instr.Ops[0].isImm())
         continue;
       std::set<uint64_t> Targets;
-      for (const hg::Edge &E : F.Graph.Edges)
+      for (const hg::Edge &E : F.Graph.edges())
         if (E.From == Key && E.To.Rip != hg::UnresolvedTargetRip)
           Targets.insert(E.To.Rip);
       std::cout << "\nindirect jump at " << hexStr(Key.Rip) << " ("

@@ -19,7 +19,7 @@ void printHoareGraph(std::ostream &OS, const FunctionResult &F,
   const expr::ExprContext &Ctx = F.ctxOr(FallbackCtx);
   OS << "function " << hexStr(F.Entry) << " ("
      << hg::liftOutcomeName(F.Outcome) << "), " << F.Graph.numStates()
-     << " states, " << F.Graph.Edges.size() << " edges\n";
+     << " states, " << F.Graph.edges().size() << " edges\n";
   for (const auto &[Key, V] : F.Graph.Vertices) {
     OS << "  [" << hexStr(Key.Rip) << "] ";
     if (V.Instr.isValid())
@@ -40,7 +40,7 @@ void printHoareGraph(std::ostream &OS, const FunctionResult &F,
       OS << "\n";
     }
   }
-  for (const Edge &E : F.Graph.Edges) {
+  for (const Edge &E : F.Graph.edges()) {
     OS << "  " << hexStr(E.From.Rip) << " -> ";
     if (E.To.Rip == hg::RetTargetRip)
       OS << "RET";

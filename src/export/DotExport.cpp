@@ -56,13 +56,13 @@ void emitFunction(std::string &Out, const expr::ExprContext &Ctx,
   Out += "  " + Prefix + "ret [shape=doublecircle,label=\"" +
          escape("S_" + hexStr(F.Entry)) + "\"];\n";
   bool HasUnres = false;
-  for (const Edge &E : F.Graph.Edges)
+  for (const Edge &E : F.Graph.edges())
     HasUnres |= E.To.Rip == hg::UnresolvedTargetRip;
   if (HasUnres)
     Out += "  " + Prefix +
            "unres [shape=octagon,color=orange,label=\"unresolved\"];\n";
 
-  for (const Edge &E : F.Graph.Edges) {
+  for (const Edge &E : F.Graph.edges()) {
     std::string From =
         Name.count(E.From) ? Name[E.From] : Prefix + "missing";
     std::string To;

@@ -21,19 +21,22 @@ using sem::SymExec;
 
 namespace {
 
+/// Is there an edge From -> (some vertex at) Rip? One out-edge index
+/// lookup; Rip may be a synthetic target (RetTargetRip, ...).
+bool edgeTo(const HoareGraph &G, const VertexKey &From, uint64_t Rip) {
+  for (const Edge &E : G.outEdges(From))
+    if (E.To.Rip == Rip)
+      return true;
+  return false;
+}
+
 /// Does some vertex at address Rip entail the post-state S, with an edge
 /// From -> that address present? The entailment probes go through the
 /// function-local leq memo (re-derived post-states repeat whenever several
 /// predecessors reach the same invariant).
 bool covered(const HoareGraph &G, const VertexKey &From, uint64_t Rip,
              const sem::SymState &S, hg::StateLeqMemo &Memo) {
-  bool EdgeExists = false;
-  for (const Edge &E : G.Edges)
-    if (E.From == From && E.To.Rip == Rip) {
-      EdgeExists = true;
-      break;
-    }
-  if (!EdgeExists)
+  if (!edgeTo(G, From, Rip))
     return false;
   for (auto It = G.Vertices.lower_bound(VertexKey{Rip, 0});
        It != G.Vertices.end() && It->first.Rip == Rip; ++It) {
@@ -41,13 +44,6 @@ bool covered(const HoareGraph &G, const VertexKey &From, uint64_t Rip,
         Memo.memLeq(S.M, It->second.State.M))
       return true;
   }
-  return false;
-}
-
-bool edgeTo(const HoareGraph &G, const VertexKey &From, uint64_t SpecialRip) {
-  for (const Edge &E : G.Edges)
-    if (E.From == From && E.To.Rip == SpecialRip)
-      return true;
   return false;
 }
 
@@ -65,13 +61,7 @@ UncoveredWhy explainUncovered(const HoareGraph &G, const VertexKey &From,
                               uint64_t Rip, const sem::SymState &S,
                               const expr::ExprContext &Ctx) {
   UncoveredWhy W;
-  bool EdgeExists = false;
-  for (const Edge &E : G.Edges)
-    if (E.From == From && E.To.Rip == Rip) {
-      EdgeExists = true;
-      break;
-    }
-  if (!EdgeExists) {
+  if (!edgeTo(G, From, Rip)) {
     W.Detail = "no edge to " + hexStr(Rip) + " in the Hoare graph";
     return W;
   }

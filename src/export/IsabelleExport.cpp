@@ -205,7 +205,7 @@ std::string exportFunction(const ExprContext &Ctx, const FunctionResult &F,
 
   // One lemma per edge: {P_from} instr {P_to}.
   unsigned L = 0;
-  for (const Edge &E : F.Graph.Edges) {
+  for (const Edge &E : F.Graph.edges()) {
     std::string From = VName.count(E.From) ? VName[E.From] : "\\<top>";
     std::string To;
     if (E.To.Rip == hg::RetTargetRip)
@@ -254,7 +254,7 @@ std::string exportBinary(const ExprContext &Ctx, const hg::BinaryResult &B,
       continue;
     Out += "section \\<open>function at " + hexStr(F.Entry) + "\\<close>\n\n";
     Out += exportFunction(Ctx, F, Opts);
-    Lemmas += F.Graph.Edges.size();
+    Lemmas += F.Graph.edges().size();
   }
 
   // Proof obligations become explicit assumptions (§5.2: "each and any

@@ -43,7 +43,7 @@ HgSummary summarize(const hg::BinaryResult &R) {
     for (const auto &[Key, V] : F.Graph.Vertices)
       if (V.Explored && V.Instr.isValid())
         FS.Instrs[Key.Rip] = V.Instr.str();
-    for (const Edge &E : F.Graph.Edges)
+    for (const Edge &E : F.Graph.edges())
       FS.Edges.insert(edgeStr(E));
     for (const std::string &O : F.Obligations)
       FS.Obligations.insert(O);

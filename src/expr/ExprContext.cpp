@@ -158,15 +158,33 @@ const Expr *ExprContext::mkConst(uint64_t V, unsigned Width) {
 
 const Expr *ExprContext::mkVar(VarClass Cls, const std::string &Name,
                                unsigned Width, uint64_t Aux) {
-  uint32_t Id;
-  auto It = VarByName.find(Name);
-  if (It != VarByName.end()) {
-    Id = It->second;
-  } else {
-    Id = static_cast<uint32_t>(Vars.size());
+  auto [It, New] =
+      VarByName.try_emplace(Name, static_cast<uint32_t>(Vars.size()));
+  if (New)
     Vars.push_back(VarInfo{Cls, Name, Aux});
-    VarByName.emplace(Name, Id);
+  return varExpr(It->second, Width, Cls);
+}
+
+const Expr *ExprContext::mkFresh(const std::string &Hint, unsigned Width) {
+  // Skip names that already exist: a deserialized context carries the
+  // producer's variables, and reusing one of them would silently break the
+  // freshness guarantee the caller relies on. One map probe per candidate:
+  // try_emplace both tests the name and claims it.
+  std::string Name = Hint + "#";
+  const size_t Stem = Name.size();
+  for (;;) {
+    Name.resize(Stem);
+    Name += std::to_string(FreshCounter++);
+    auto [It, New] =
+        VarByName.try_emplace(Name, static_cast<uint32_t>(Vars.size()));
+    if (New) {
+      Vars.push_back(VarInfo{VarClass::Fresh, std::move(Name), 0});
+      return varExpr(It->second, Width, VarClass::Fresh);
+    }
   }
+}
+
+const Expr *ExprContext::varExpr(uint32_t Id, unsigned Width, VarClass Cls) {
   Expr E;
   E.Kind = ExprKind::Var;
   E.Width = static_cast<uint8_t>(Width);
@@ -174,17 +192,6 @@ const Expr *ExprContext::mkVar(VarClass Cls, const std::string &Name,
   E.Size = 1;
   E.HasFresh = (Cls == VarClass::Fresh || Cls == VarClass::External);
   return intern(std::move(E));
-}
-
-const Expr *ExprContext::mkFresh(const std::string &Hint, unsigned Width) {
-  // Skip names that already exist: a deserialized context carries the
-  // producer's variables, and reusing one of them would silently break the
-  // freshness guarantee the caller relies on.
-  std::string Name;
-  do {
-    Name = Hint + "#" + std::to_string(FreshCounter++);
-  } while (VarByName.count(Name));
-  return mkVar(VarClass::Fresh, Name, Width);
 }
 
 const Expr *ExprContext::mkDeref(const Expr *Addr, uint32_t SizeBytes) {

@@ -100,6 +100,9 @@ private:
     bool operator()(const Expr *A, const Expr *B) const;
   };
 
+  /// The interned variable node for variable Id (mkVar / mkFresh).
+  const Expr *varExpr(uint32_t Id, unsigned Width, VarClass Cls);
+
   std::deque<Expr> Nodes;
   std::unordered_map<const Expr *, const Expr *, KeyHash, KeyEq> Interned;
   std::vector<VarInfo> Vars;

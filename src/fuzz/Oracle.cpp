@@ -371,7 +371,7 @@ WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
         // Property 2 (return): an admitting vertex must have a Ret edge.
         bool HasRet = false;
         for (const hg::Vertex *V : Admitting)
-          for (const hg::Edge &E : F.Graph.Edges)
+          for (const hg::Edge &E : F.Graph.edges())
             HasRet |= E.From == V->Key && E.To.Rip == hg::RetTargetRip;
         if (!HasRet)
           violate(WalkViolation::Kind::MissingRetEdge, Rip,

@@ -4,6 +4,29 @@
 
 namespace hglift::hg {
 
+bool HoareGraph::addEdge(const Edge &E) {
+  std::vector<uint32_t> &Pos = Out[E.From];
+  for (uint32_t I : Pos)
+    if (Edges[I] == E)
+      return false;
+  Pos.push_back(static_cast<uint32_t>(Edges.size()));
+  Edges.push_back(E);
+  return true;
+}
+
+void HoareGraph::clearEdges() {
+  Edges.clear();
+  Out.clear();
+}
+
+HoareGraph::OutEdges HoareGraph::outEdges(const VertexKey &From) const {
+  auto It = Out.find(From);
+  if (It == Out.end())
+    return OutEdges(Edges.data(), nullptr, nullptr);
+  const std::vector<uint32_t> &Pos = It->second;
+  return OutEdges(Edges.data(), Pos.data(), Pos.data() + Pos.size());
+}
+
 std::vector<Edge> HoareGraph::weirdEdges() const {
   // An edge is "weird" when its target address lies strictly inside the
   // byte range of some explored instruction: overlapping instructions,

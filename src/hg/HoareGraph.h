@@ -7,6 +7,13 @@
 // which is exactly what the Step-2 checker (export/HoareChecker.h)
 // re-verifies independently.
 //
+// The edge list keeps insertion order (reports, exports and the store
+// write it in that order) and is paired with an out-edge index — source
+// vertex -> positions in the list — so the duplicate check in addEdge,
+// Step 2's per-successor edge lookups and the may-return walk each cost
+// the source's out-degree instead of a scan of every edge. Both are private
+// and change together: addEdge and clearEdges are the only writers.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef HGLIFT_HG_HOAREGRAPH_H
@@ -18,6 +25,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace hglift::hg {
@@ -31,6 +39,13 @@ struct VertexKey {
   uint64_t CtrlHash = 0;
 
   auto operator<=>(const VertexKey &O) const = default;
+};
+
+struct VertexKeyHash {
+  size_t operator()(const VertexKey &K) const {
+    uint64_t H = K.Rip * 0x9e3779b97f4a7c15ULL ^ K.CtrlHash;
+    return static_cast<size_t>(H ^ (H >> 29));
+  }
 };
 
 /// Synthetic target addresses for non-address edge targets.
@@ -75,8 +90,31 @@ struct Edge {
 class HoareGraph {
 public:
   std::map<VertexKey, Vertex> Vertices;
-  std::vector<Edge> Edges;
   VertexKey Initial;
+
+  /// The out-edges of one vertex, in insertion order.
+  class OutEdges {
+  public:
+    struct iterator {
+      const Edge *Base;
+      const uint32_t *Pos;
+      const Edge &operator*() const { return Base[*Pos]; }
+      iterator &operator++() {
+        ++Pos;
+        return *this;
+      }
+      bool operator==(const iterator &O) const { return Pos == O.Pos; }
+    };
+    iterator begin() const { return {Base, First}; }
+    iterator end() const { return {Base, Last}; }
+
+  private:
+    friend class HoareGraph;
+    OutEdges(const Edge *Base, const uint32_t *First, const uint32_t *Last)
+        : Base(Base), First(First), Last(Last) {}
+    const Edge *Base;
+    const uint32_t *First, *Last;
+  };
 
   Vertex *find(const VertexKey &K) {
     auto It = Vertices.find(K);
@@ -87,12 +125,15 @@ public:
     return It == Vertices.end() ? nullptr : &It->second;
   }
 
-  void addEdge(const Edge &E) {
-    for (const Edge &X : Edges)
-      if (X == E)
-        return;
-    Edges.push_back(E);
-  }
+  /// Every edge, in insertion order.
+  const std::vector<Edge> &edges() const { return Edges; }
+
+  /// Append E unless an equal edge is already present; returns whether E
+  /// was added.
+  bool addEdge(const Edge &E);
+  void clearEdges();
+
+  OutEdges outEdges(const VertexKey &From) const;
 
   /// Distinct instruction addresses with an explored vertex.
   std::set<uint64_t> instructionAddrs() const {
@@ -108,6 +149,11 @@ public:
   /// Edges whose target lands strictly inside another decoded instruction
   /// (overlapping instructions — the §2 "weird" edges).
   std::vector<Edge> weirdEdges() const;
+
+private:
+  std::vector<Edge> Edges;
+  /// Source vertex -> positions of its edges in Edges, ascending.
+  std::unordered_map<VertexKey, std::vector<uint32_t>, VertexKeyHash> Out;
 };
 
 } // namespace hglift::hg

@@ -202,7 +202,7 @@ FunctionResult Lifter::liftUncached(uint64_t Entry) {
     Init.P = Pred::entry(Ctx, FR.RetSym);
     // Seed the memory model with the return-address region.
     const Expr *Rsp0 = Init.P.reg64(x86::Reg::RSP);
-    Init.M.Forest.push_back(mem::MemTree{{smt::Region{Rsp0, 8}}, {}});
+    Init.M.Forest.mut().push_back(mem::MemTree{{smt::Region{Rsp0, 8}}, {}});
     return Init;
   };
   SymState Init = mkInit();
@@ -255,7 +255,7 @@ FunctionResult Lifter::liftUncached(uint64_t Entry) {
     ++FR.Stats.VsaRestarts;
     NewProtected = false;
     G.Vertices.clear();
-    G.Edges.clear();
+    G.clearEdges();
     FR.Diags.clear();
     FR.Obligations.clear();
     FR.Callees.clear();
@@ -642,37 +642,17 @@ void computeMayReturn(std::vector<FunctionResult> &Functions) {
   for (const FunctionResult &F : Functions)
     ByEntry[F.Entry] = &F;
 
-  // Each function's edges sorted by source vertex, built once: every round
-  // re-walks every function that may still return.
-  std::vector<std::vector<const Edge *>> OutEdges(Functions.size());
-  for (size_t FI = 0; FI < Functions.size(); ++FI) {
-    if (!Functions[FI].MayReturn)
-      continue;
-    std::vector<const Edge *> &Out = OutEdges[FI];
-    for (const Edge &E : Functions[FI].Graph.Edges)
-      Out.push_back(&E);
-    std::stable_sort(Out.begin(), Out.end(),
-                     [](const Edge *A, const Edge *B) {
-                       return A->From < B->From;
-                     });
-  }
-
   // Is a Ret edge reachable from the entry, given callees' current
-  // may-return state?
+  // may-return state? Every round re-walks every function that may still
+  // return, through each graph's out-edge index.
   auto retReachable = [&](size_t FI) {
-    const std::vector<const Edge *> &Out = OutEdges[FI];
-    const VertexKey Initial = Functions[FI].Graph.Initial;
-    std::set<VertexKey> Seen{Initial};
-    std::deque<VertexKey> Q{Initial};
+    const HoareGraph &G = Functions[FI].Graph;
+    std::set<VertexKey> Seen{G.Initial};
+    std::deque<VertexKey> Q{G.Initial};
     while (!Q.empty()) {
       VertexKey K = Q.front();
       Q.pop_front();
-      for (auto It = std::lower_bound(Out.begin(), Out.end(), K,
-                                      [](const Edge *E, const VertexKey &K) {
-                                        return E->From < K;
-                                      });
-           It != Out.end() && (*It)->From == K; ++It) {
-        const Edge &E = **It;
+      for (const Edge &E : G.outEdges(K)) {
         if (E.To.Rip == RetTargetRip)
           return true;
         if (E.Kind == CtrlKind::CallInternal) {

@@ -7,11 +7,14 @@
 // stabilizes. This memo caches those probes per lifting arena.
 //
 // The key is a mix of the two sides' structural digests (Pred::digest /
-// MemModel::digest). Digests can collide, so an entry stores full copies
-// of both sides and is only trusted after operator== confirms them — a
-// collision is a miss, never a wrong answer. Entries are overwritten on
-// key collision and the maps are cleared at a fixed cap, which keeps the
-// memo O(1) per probe and bounded per function.
+// MemModel::digest). Digests can collide, so an entry holds copies of both
+// sides and is only trusted after operator== confirms them — a collision is
+// a miss, never a wrong answer. The copies are handles: they share the
+// probed states' clause and forest buffers (support/Cow.h), so a miss costs
+// reference-count bumps rather than deep copies, and the confirming
+// operator== usually short-circuits on a shared buffer. Entries are
+// overwritten on key collision and the maps are cleared at a fixed cap,
+// which keeps the memo O(1) per probe and bounded per function.
 //
 // Not synchronized: one memo per lifting arena, used by one thread at a
 // time (the same discipline as ExprContext).

@@ -281,14 +281,20 @@ MemModel::insert(const Region &R, const Pred &P, RelationSolver &Solver,
     }
   } else {
     Results =
-        insTree(Leaf, Forest, I, static_cast<unsigned>(MaxModelsPerInsert));
+        insTree(Leaf, *Forest, I, static_cast<unsigned>(MaxModelsPerInsert));
   }
 
   std::vector<InsertResult> Out;
   for (ForestResult &F : Results) {
     InsertResult IR;
     IR.Model = *this;
-    IR.Model.Forest = std::move(F.Forest);
+    // A copy, not a move. F.Forest's trees were allocated in the middle of
+    // insTree's temporaries, which are freed by now; an outcome usually
+    // lives on as a vertex state, shared by its successors and the leq
+    // memo, and a fresh copy keeps those long-lived trees out of the holes
+    // the temporaries leave. (Moving measurably raised a long-running
+    // daemon's peak RSS through that fragmentation.)
+    IR.Model.Forest = F.Forest;
     IR.Destroyed = std::move(F.Destroyed);
     IR.Assumptions = std::move(F.Assumptions);
     Out.push_back(std::move(IR));
@@ -306,10 +312,10 @@ void MemModel::noteWrite(const Region &R) {
       return;
   if (Clobbered.size() >= MaxClobbered) {
     HavocAll = true;
-    Clobbered.clear();
+    Clobbered = {};
     return;
   }
-  Clobbered.push_back(R);
+  Clobbered.mut().push_back(R);
 }
 
 bool MemModel::provablyUntouched(const Region &R, const Pred &P,
@@ -421,19 +427,19 @@ std::vector<MemTree> joinForests(const std::vector<MemTree> &FA,
 
 MemModel MemModel::join(const MemModel &A, const MemModel &B) {
   MemModel J;
-  J.Forest = joinForests(A.Forest, B.Forest);
+  J.Forest = joinForests(*A.Forest, *B.Forest);
   // Clobber knowledge is unioned: more clobbered is more abstract.
   J.HavocAll = A.HavocAll || B.HavocAll;
   J.HavocGlobals = A.HavocGlobals || B.HavocGlobals;
   if (!J.HavocAll) {
-    J.Clobbered = A.Clobbered;
+    J.Clobbered = A.Clobbered; // shared until B adds a region
     for (const Region &R : B.Clobbered) {
       if (std::find(J.Clobbered.begin(), J.Clobbered.end(), R) ==
           J.Clobbered.end())
-        J.Clobbered.push_back(R);
+        J.Clobbered.mut().push_back(R);
       if (J.Clobbered.size() > MaxClobbered) {
         J.HavocAll = true;
-        J.Clobbered.clear();
+        J.Clobbered = {};
         break;
       }
     }
@@ -472,7 +478,7 @@ bool isPrefix(const std::vector<int> &A, const std::vector<int> &B) {
 std::vector<RegionRel> MemModel::relations() const {
   std::vector<Placement> Ps;
   std::vector<int> Path;
-  collectPlacements(Forest, Path, Ps);
+  collectPlacements(*Forest, Path, Ps);
 
   std::vector<RegionRel> Out;
   for (size_t I = 0; I < Ps.size(); ++I)
@@ -525,7 +531,7 @@ bool MemModel::locate(const Region &R, std::vector<Region> &Aliases,
                       std::vector<Region> &Ancestors,
                       std::vector<Region> &Descendants) const {
   std::vector<Region> Path;
-  return locateRec(Forest, R, Aliases, Ancestors, Descendants, Path);
+  return locateRec(*Forest, R, Aliases, Ancestors, Descendants, Path);
 }
 
 std::vector<Region> MemModel::allRegions() const {
@@ -652,7 +658,7 @@ bool MemModel::holds(const expr::VarValuation &Vars,
                      const expr::MemOracle &Mem) const {
   std::vector<Placement> Ps;
   std::vector<int> Path;
-  collectPlacements(Forest, Path, Ps);
+  collectPlacements(*Forest, Path, Ps);
 
   auto EvalAddr = [&](const Region &R, uint64_t &Out) {
     auto V = expr::evalExpr(R.Addr, Vars, Mem);

@@ -20,12 +20,17 @@
 // *initial* memory content for a region — so it is tracked monotonically
 // here and only ever grows (or collapses to HavocAll).
 //
+// Forest and Clobbered are copy-on-write (support/Cow.h): copying a model
+// (a successor state, an insertion outcome, a memo entry) shares both, and
+// the first write through mut() clones the buffer it touches.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef HGLIFT_MEMMODEL_MEMMODEL_H
 #define HGLIFT_MEMMODEL_MEMMODEL_H
 
 #include "smt/RelationSolver.h"
+#include "support/Cow.h"
 
 #include <string>
 #include <vector>
@@ -61,11 +66,11 @@ struct RegionRel {
 
 class MemModel {
 public:
-  std::vector<MemTree> Forest;
+  Cow<std::vector<MemTree>> Forest;
 
   /// Regions possibly written since function entry (monotone; unioned on
   /// join). When the set overflows, HavocAll is set instead.
-  std::vector<Region> Clobbered;
+  Cow<std::vector<Region>> Clobbered;
   bool HavocAll = false;
   /// Set by external function calls: all non-stack-frame memory may have
   /// been written (§1's System V assumption keeps the local frame intact).

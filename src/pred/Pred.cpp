@@ -103,7 +103,7 @@ Pred Pred::entry(ExprContext &Ctx, const Expr *RetSymTop) {
   const Expr *Rsp0 = P.Regs[x86::regNum(Reg::RSP)];
   const Expr *Ret =
       RetSymTop ? RetSymTop : Ctx.mkVar(VarClass::RetAddr, "a_r", 64);
-  P.Cells.push_back(MemCell{Rsp0, 8, Ret});
+  P.Cells.mut().push_back(MemCell{Rsp0, 8, Ret});
   P.bumpVersion();
   return P;
 }
@@ -305,37 +305,44 @@ const MemCell *Pred::findCell(const Expr *Addr, uint32_t Size) const {
   return nullptr;
 }
 
+// Mutators find what they change through the shared view first and call
+// mut() (which may clone the buffer) only when something does change.
+
 void Pred::setCell(const Expr *Addr, uint32_t Size, const Expr *Val) {
-  for (MemCell &C : Cells)
+  for (size_t I = 0; I < Cells.size(); ++I) {
+    const MemCell &C = Cells[I];
     if (C.Addr == Addr && C.Size == Size) {
       if (C.Val == Val)
         return; // content unchanged; keep the stamp (and cache entries)
-      C.Val = Val;
+      Cells.mut()[I].Val = Val;
       bumpVersion();
       return;
     }
-  Cells.push_back(MemCell{Addr, Size, Val});
+  }
+  Cells.mut().push_back(MemCell{Addr, Size, Val});
   bumpVersion();
 }
 
 void Pred::removeCell(const Expr *Addr, uint32_t Size) {
-  size_t Before = Cells.size();
-  Cells.erase(std::remove_if(Cells.begin(), Cells.end(),
-                             [&](const MemCell &C) {
-                               return C.Addr == Addr && C.Size == Size;
-                             }),
-              Cells.end());
-  if (Cells.size() != Before)
-    bumpVersion();
+  filterCells([&](const MemCell &C) {
+    return C.Addr != Addr || C.Size != Size;
+  });
 }
 
 void Pred::filterCells(const std::function<bool(const MemCell &)> &Keep) {
-  size_t Before = Cells.size();
-  Cells.erase(std::remove_if(Cells.begin(), Cells.end(),
-                             [&](const MemCell &C) { return !Keep(C); }),
-              Cells.end());
-  if (Cells.size() != Before)
-    bumpVersion();
+  // Keep runs exactly once per cell, in order (it may query the solver).
+  size_t N = Cells.size(), First = 0;
+  while (First < N && Keep(Cells[First]))
+    ++First;
+  if (First == N)
+    return;
+  std::vector<MemCell> &V = Cells.mut();
+  size_t Out = First;
+  for (size_t I = First + 1; I < N; ++I)
+    if (Keep(V[I]))
+      V[Out++] = V[I];
+  V.resize(Out);
+  bumpVersion();
 }
 
 // --- range clauses ------------------------------------------------------------
@@ -348,18 +355,18 @@ void Pred::addRange(const Expr *E, RelOp Op, uint64_t Bound) {
     if (Existing == C)
       return;
   if (Ranges.size() < MaxRanges) {
-    Ranges.push_back(C);
+    Ranges.mut().push_back(C);
     bumpVersion();
   }
 }
 
 void Pred::clearRangesFor(const Expr *E) {
-  size_t Before = Ranges.size();
-  Ranges.erase(std::remove_if(Ranges.begin(), Ranges.end(),
-                              [&](const RangeClause &C) { return C.E == E; }),
-               Ranges.end());
-  if (Ranges.size() != Before)
-    bumpVersion();
+  auto On = [&](const RangeClause &C) { return C.E == E; };
+  if (std::none_of(Ranges.begin(), Ranges.end(), On))
+    return;
+  std::vector<RangeClause> &V = Ranges.mut();
+  V.erase(std::remove_if(V.begin(), V.end(), On), V.end());
+  bumpVersion();
 }
 
 namespace {
@@ -657,11 +664,13 @@ Pred Pred::join(ExprContext &Ctx, const Pred &A, const Pred &B, bool Widen,
     J.Flags = A.Flags;
 
   // Memory clauses: keep cells both sides agree on.
+  std::vector<MemCell> Kept;
   for (const MemCell &CA : A.Cells) {
     const MemCell *CB = B.findCell(CA.Addr, CA.Size);
     if (CB && CB->Val == CA.Val)
-      J.Cells.push_back(CA);
+      Kept.push_back(CA);
   }
+  J.Cells = std::move(Kept);
 
   // Range clauses: keep clauses identical in both; otherwise interval-join
   // per expression.
@@ -709,6 +718,21 @@ namespace {
 /// variables making EB equal to EA.
 struct Matcher {
   std::unordered_map<const Expr *, const Expr *> Binding;
+  /// Keys in the order match() bound them, so that a failed candidate's
+  /// bindings can be undone instead of snapshotting Binding before each
+  /// attempt.
+  std::vector<const Expr *> Trail;
+
+  /// Does B's cell CB match A's cell CA under the current binding? On
+  /// failure every binding the attempt made is undone.
+  bool matchCell(const MemCell &CB, const MemCell &CA) {
+    size_t Mark = Trail.size();
+    if (match(CB.Addr, CA.Addr) && match(CB.Val, CA.Val))
+      return true;
+    for (; Trail.size() > Mark; Trail.pop_back())
+      Binding.erase(Trail.back());
+    return false;
+  }
 
   bool match(const Expr *EB, const Expr *EA) {
     if (EB == EA)
@@ -720,6 +744,7 @@ struct Matcher {
       if (EB->width() != EA->width())
         return false;
       Binding.emplace(EB, EA);
+      Trail.push_back(EB);
       return true;
     }
     if (EB->kind() != EA->kind() || EB->width() != EA->width())
@@ -822,16 +847,11 @@ bool Pred::leq(const Pred &A, const Pred &B) {
 
   for (const MemCell &CB : B.Cells) {
     bool Found = false;
-    for (const MemCell &CA : A.Cells) {
-      if (CA.Size != CB.Size)
-        continue;
-      Matcher Saved = M; // backtrack on failed candidate
-      if (M.match(CB.Addr, CA.Addr) && M.match(CB.Val, CA.Val)) {
+    for (const MemCell &CA : A.Cells)
+      if (CA.Size == CB.Size && M.matchCell(CB, CA)) {
         Found = true;
         break;
       }
-      M = Saved;
-    }
     if (!Found)
       return false;
   }
@@ -924,16 +944,11 @@ std::optional<Pred::LeqFailure> Pred::leqExplain(const ExprContext &Ctx,
 
   for (const MemCell &CB : B.Cells) {
     bool Found = false;
-    for (const MemCell &CA : A.Cells) {
-      if (CA.Size != CB.Size)
-        continue;
-      Matcher Saved = M;
-      if (M.match(CB.Addr, CA.Addr) && M.match(CB.Val, CA.Val)) {
+    for (const MemCell &CA : A.Cells)
+      if (CA.Size == CB.Size && M.matchCell(CB, CA)) {
         Found = true;
         break;
       }
-      M = Saved;
-    }
     if (!Found)
       return LeqFailure{Id,
                         "*[" + CB.Addr->str(Ctx) + "," +

@@ -18,6 +18,12 @@
 // drops everything else by substituting Fresh variables — only ever
 // weakening, as Definition 3.15 requires.
 //
+// The clause lists are copy-on-write (support/Cow.h): copying a Pred shares
+// its Cells and Ranges buffers, and the first mutator to touch a shared
+// buffer clones it. Mutators that turn out not to change anything (a
+// setCell with the same value, a removeCell that finds no cell) leave the
+// buffers shared.
+//
 // Every Pred carries a *version stamp*: a process-wide monotone counter
 // value re-assigned by every mutating operation (copies keep their source's
 // stamp). Two Preds with equal stamps are guaranteed content-identical, so
@@ -33,6 +39,7 @@
 
 #include "expr/Eval.h"
 #include "expr/ExprContext.h"
+#include "support/Cow.h"
 #include "support/Interval.h"
 #include "x86/Reg.h"
 
@@ -160,7 +167,7 @@ public:
 
   // --- memory clauses ------------------------------------------------------
 
-  const std::vector<MemCell> &cells() const { return Cells; }
+  const std::vector<MemCell> &cells() const { return *Cells; }
   /// Cell with syntactically identical address and size, or nullptr.
   const MemCell *findCell(const Expr *Addr, uint32_t Size) const;
   /// Insert or replace the cell at (Addr, Size).
@@ -171,7 +178,7 @@ public:
 
   // --- range clauses -------------------------------------------------------
 
-  const std::vector<RangeClause> &ranges() const { return Ranges; }
+  const std::vector<RangeClause> &ranges() const { return *Ranges; }
   void addRange(const Expr *E, RelOp Op, uint64_t Bound);
   void clearRangesFor(const Expr *E);
 
@@ -267,8 +274,8 @@ private:
   bool Bottom = false;
   std::array<const Expr *, x86::NumGPRs> Regs;
   FlagState Flags;
-  std::vector<MemCell> Cells;
-  std::vector<RangeClause> Ranges;
+  Cow<std::vector<MemCell>> Cells;
+  Cow<std::vector<RangeClause>> Ranges;
   /// See version(). 0 = the shared stamp of all default-constructed
   /// (empty) predicates.
   uint64_t Version = 0;

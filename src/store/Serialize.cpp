@@ -398,13 +398,15 @@ bool readTree(Reader &R, const std::vector<const Expr *> &Table,
 bool readMemModel(Reader &R, const std::vector<const Expr *> &Table,
                   mem::MemModel &M) {
   uint32_t NTrees = R.count(8);
-  M.Forest.resize(NTrees);
+  std::vector<mem::MemTree> &Forest = M.Forest.mut();
+  Forest.resize(NTrees);
   for (uint32_t I = 0; I < NTrees && !R.Fail; ++I)
-    readTree(R, Table, M.Forest[I], 0);
+    readTree(R, Table, Forest[I], 0);
   uint32_t NClob = R.count(8);
-  M.Clobbered.resize(NClob);
+  std::vector<smt::Region> &Clobbered = M.Clobbered.mut();
+  Clobbered.resize(NClob);
   for (uint32_t I = 0; I < NClob && !R.Fail; ++I)
-    readRegion(R, Table, M.Clobbered[I]);
+    readRegion(R, Table, Clobbered[I]);
   M.HavocAll = R.u8() != 0;
   M.HavocGlobals = R.u8() != 0;
   return !R.Fail;
@@ -527,8 +529,8 @@ void writeGraph(Writer &W, ExprTable &T, const hg::HoareGraph &G) {
     W.u8(V.Explored ? 1 : 0);
     W.u32(V.JoinCount);
   }
-  W.u32(static_cast<uint32_t>(G.Edges.size()));
-  for (const hg::Edge &E : G.Edges) {
+  W.u32(static_cast<uint32_t>(G.edges().size()));
+  for (const hg::Edge &E : G.edges()) {
     writeKey(W, E.From);
     writeKey(W, E.To);
     writeInstr(W, E.Instr);
@@ -570,7 +572,10 @@ bool readGraph(Reader &R, const std::vector<const Expr *> &Table,
     E.Kind = static_cast<sem::CtrlKind>(Kind);
     E.CalleeAddr = R.u64();
     E.ViaTable = R.u64();
-    G.Edges.push_back(std::move(E));
+    if (!G.addEdge(E)) {
+      R.Fail = true; // duplicate edge: corrupt entry
+      return false;
+    }
   }
   return !R.Fail;
 }

@@ -232,7 +232,7 @@ std::vector<const hg::Vertex *> seedVertices(const hg::FunctionResult &F,
                                              uint64_t SiteAddr) {
   std::vector<const hg::Vertex *> Out = fuzz::verticesAt(F, SiteAddr);
   std::set<uint64_t> SuccRips;
-  for (const hg::Edge &E : F.Graph.Edges)
+  for (const hg::Edge &E : F.Graph.edges())
     if (E.From.Rip == SiteAddr && E.To.Rip != SiteAddr)
       SuccRips.insert(E.To.Rip);
   for (uint64_t Rip : SuccRips)

@@ -159,7 +159,7 @@ TEST(LeqExplain, MemModelExplainsMissingClobber) {
   expr::ExprContext Ctx;
   mem::MemModel A, B;
   smt::Region R{Ctx.mkConst(0x1000, 64), 8};
-  A.Clobbered.push_back(R);
+  A.Clobbered.mut().push_back(R);
   EXPECT_FALSE(mem::MemModel::leq(A, B));
   std::string Why = mem::MemModel::leqExplain(Ctx, A, B);
   EXPECT_NE(Why.find("clobber"), std::string::npos) << Why;

@@ -124,6 +124,28 @@ TEST(Expr, LinearizeWrapsModulo2To64) {
   EXPECT_EQ(Z.Constant, 0);
 }
 
+TEST(Expr, FreshNamesSkipRegisteredNames) {
+  // A deserialized context already holds the producer's variables; a fresh
+  // name must never reuse one of them. Names otherwise stay Hint#counter
+  // with one counter shared by every hint.
+  ExprContext Ctx;
+  const Expr *Pre = Ctx.mkVar(VarClass::Fresh, "hint#0");
+  const Expr *F = Ctx.mkFresh("hint");
+  EXPECT_NE(F, Pre);
+  EXPECT_EQ(Ctx.varInfo(F->varId()).Name, "hint#1");
+  EXPECT_EQ(Ctx.varInfo(F->varId()).Cls, VarClass::Fresh);
+  EXPECT_TRUE(F->hasFreshLeaf());
+  EXPECT_EQ(Ctx.varInfo(Ctx.mkFresh("other")->varId()).Name, "other#2");
+  Ctx.mkVar(VarClass::InitReg, "x#3");
+  Ctx.mkVar(VarClass::InitReg, "x#4");
+  const Expr *X = Ctx.mkFresh("x", 32);
+  EXPECT_EQ(Ctx.varInfo(X->varId()).Name, "x#5");
+  EXPECT_EQ(X->width(), 32u);
+  EXPECT_EQ(Ctx.numVars(), 6u) << "one variable per distinct name";
+  EXPECT_EQ(Ctx.mkVar(VarClass::Fresh, "hint#1"), F)
+      << "mkVar of a fresh name is the same interned variable";
+}
+
 TEST(Expr, TreeSizeAndFreshness) {
   ExprContext Ctx;
   const Expr *F = Ctx.mkFresh("tmp");

@@ -125,7 +125,7 @@ TEST(IsabelleExport, WellFormedTheory) {
   // One lemma per edge.
   size_t TotalEdges = 0;
   for (const hg::FunctionResult &F : R.Functions)
-    TotalEdges += F.Graph.Edges.size();
+    TotalEdges += F.Graph.edges().size();
   EXPECT_EQ(Lemmas, TotalEdges);
   size_t Count = 0, Pos = 0;
   while ((Pos = Thy.find("\nlemma ", Pos)) != std::string::npos) {

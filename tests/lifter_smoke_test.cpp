@@ -47,7 +47,7 @@ TEST(LifterSmoke, JumpTable) {
   // must have all 8 case targets.
   size_t CaseEdges = 0;
   for (const hg::FunctionResult &F : R.Functions)
-    for (const hg::Edge &E : F.Graph.Edges)
+    for (const hg::Edge &E : F.Graph.edges())
       if (E.Instr.isJump() && !E.Instr.Ops[0].isImm() &&
           E.To.Rip != hg::UnresolvedTargetRip)
         ++CaseEdges;

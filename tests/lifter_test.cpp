@@ -260,7 +260,7 @@ TEST(Lifter, TimeoutRetainsPartialGraph) {
       << FR.FailReason;
   // The partial graph is retained, not dropped.
   EXPECT_GE(FR.Graph.Vertices.size(), Cfg.MaxVertices);
-  EXPECT_FALSE(FR.Graph.Edges.empty());
+  EXPECT_FALSE(FR.Graph.edges().empty());
   EXPECT_EQ(FR.Stats.Vertices, FR.Graph.Vertices.size());
   EXPECT_GT(FR.Stats.Steps, 0u);
   // Wall-clock timeouts keep the partial graph too.
@@ -423,7 +423,7 @@ TEST(LiftArena, NoZ3StateUntilFirstQuery) {
 /// byte range of some explored, decoded instruction.
 std::vector<hg::Edge> weirdEdgesReference(const hg::HoareGraph &G) {
   std::vector<hg::Edge> Out;
-  for (const hg::Edge &E : G.Edges) {
+  for (const hg::Edge &E : G.edges()) {
     uint64_t T = E.To.Rip;
     if (T == hg::RetTargetRip || T == hg::UnresolvedTargetRip)
       continue;
@@ -454,7 +454,7 @@ void addEdgeTo(hg::HoareGraph &G, uint64_t From, uint64_t To) {
   hg::Edge E;
   E.From = hg::VertexKey{From, 0};
   E.To = hg::VertexKey{To, 0};
-  G.Edges.push_back(E);
+  G.addEdge(E);
 }
 
 std::vector<uint64_t> targets(const std::vector<hg::Edge> &Edges) {
@@ -518,6 +518,70 @@ TEST(WeirdEdges, MatchesReferenceOnRandomGraphs) {
   }
 }
 
+/// The edge list as it was before out-edges were indexed: a linear
+/// duplicate scan over every edge, and out-edges found by filtering.
+struct LinearEdges {
+  std::vector<hg::Edge> Edges;
+  bool add(const hg::Edge &E) {
+    for (const hg::Edge &X : Edges)
+      if (X == E)
+        return false;
+    Edges.push_back(E);
+    return true;
+  }
+  std::vector<hg::Edge> out(const hg::VertexKey &K) const {
+    std::vector<hg::Edge> Out;
+    for (const hg::Edge &E : Edges)
+      if (E.From == K)
+        Out.push_back(E);
+    return Out;
+  }
+};
+
+std::vector<hg::Edge> outOf(const hg::HoareGraph &G, const hg::VertexKey &K) {
+  std::vector<hg::Edge> Out;
+  for (const hg::Edge &E : G.outEdges(K))
+    Out.push_back(E);
+  return Out;
+}
+
+TEST(EdgeIndex, MatchesLinearScanOnRandomEdgeStreams) {
+  Rng R(0xed9e);
+  for (unsigned Round = 0; Round < 200; ++Round) {
+    hg::HoareGraph G;
+    LinearEdges Ref;
+    // A small key space so that duplicates, shared sources and equal
+    // sources with different control hashes are all common.
+    auto key = [&] {
+      return hg::VertexKey{0x1000 + R.below(12), R.below(3)};
+    };
+    unsigned N = static_cast<unsigned>(R.range(0, 150));
+    for (unsigned I = 0; I < N; ++I) {
+      if (R.chance(1, 60)) { // a VSA restart drops every edge
+        G.clearEdges();
+        Ref = LinearEdges();
+        continue;
+      }
+      hg::Edge E;
+      E.From = key();
+      E.To = R.chance(1, 8) ? hg::VertexKey{hg::RetTargetRip, 0} : key();
+      E.Kind = static_cast<sem::CtrlKind>(R.below(3));
+      E.CalleeAddr = R.chance(1, 4) ? 0x2000 + R.below(2) : 0;
+      E.ViaTable = R.chance(1, 6) ? 0x3000 : 0;
+      E.Instr.Addr = R.next(); // not part of edge identity
+      ASSERT_EQ(G.addEdge(E), Ref.add(E)) << "round " << Round;
+    }
+    ASSERT_EQ(G.edges(), Ref.Edges) << "insertion order kept";
+    hg::HoareGraph Copy = G;
+    for (uint64_t Rip = 0x1000; Rip < 0x1000 + 13; ++Rip)
+      for (uint64_t H = 0; H < 4; ++H) {
+        hg::VertexKey K{Rip, H};
+        ASSERT_EQ(outOf(G, K), Ref.out(K)) << "round " << Round;
+        ASSERT_EQ(outOf(Copy, K), Ref.out(K)) << "copies keep the index";
+      }
+  }
+}
+
 TEST(WeirdEdges, MatchesReferenceOnOverlappingCorpus) {
   for (auto BB : {corpus::weirdEdgeBinary(), corpus::overlappingBinary()}) {
     ASSERT_TRUE(BB.has_value());
@@ -551,7 +615,7 @@ void computeMayReturnReference(std::vector<hg::FunctionResult> &Fns) {
       while (!Q.empty()) {
         hg::VertexKey K = Q.front();
         Q.pop_front();
-        for (const hg::Edge &E : F.Graph.Edges) {
+        for (const hg::Edge &E : F.Graph.edges()) {
           if (!(E.From == K))
             continue;
           if (E.To.Rip == hg::RetTargetRip) {
@@ -639,7 +703,7 @@ TEST(MayReturn, MatchesReferenceOnCorpus) {
     std::vector<hg::FunctionResult> Fns = R.Functions;
     for (hg::FunctionResult &F : Fns) {
       F.MayReturn = false;
-      for (const hg::Edge &E : F.Graph.Edges)
+      for (const hg::Edge &E : F.Graph.edges())
         F.MayReturn |= E.To.Rip == hg::RetTargetRip;
     }
     std::vector<hg::FunctionResult> Want = Fns;
@@ -691,7 +755,7 @@ TEST(MayReturn, MatchesReferenceOnRandomGraphs) {
           E.To = vertex();
           E.Kind = sem::CtrlKind::Fall;
         }
-        F.Graph.Edges.push_back(E);
+        F.Graph.addEdge(E);
       }
     }
     std::vector<hg::FunctionResult> Want = Fns;

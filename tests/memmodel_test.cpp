@@ -156,10 +156,10 @@ TEST(MemModel, Example313_JoinOfChildren) {
   Fixture F;
   const Expr *Rdi4 = F.Ctx.mkAddK(F.Rdi0, 4);
   MemModel M0, M1;
-  M0.Forest = {MemTree{{Region{F.Rdi0, 8}},
-                       {MemTree{{Region{F.Rdi0, 4}}, {}}}}};
-  M1.Forest = {MemTree{{Region{F.Rdi0, 8}},
-                       {MemTree{{Region{Rdi4, 4}}, {}}}}};
+  M0.Forest = std::vector<MemTree>{
+      MemTree{{Region{F.Rdi0, 8}}, {MemTree{{Region{F.Rdi0, 4}}, {}}}}};
+  M1.Forest = std::vector<MemTree>{
+      MemTree{{Region{F.Rdi0, 8}}, {MemTree{{Region{Rdi4, 4}}, {}}}}};
   MemModel J = MemModel::join(M0, M1);
   ASSERT_EQ(J.Forest.size(), 1u);
   EXPECT_EQ(J.Forest[0].Node[0].Addr, F.Rdi0);
@@ -321,9 +321,10 @@ TEST(MemModel, LocateFindsPlacement) {
   Fixture F;
   const Expr *Rsp0 = F.P.reg64(x86::Reg::RSP);
   MemModel M;
-  M.Forest = {MemTree{{Region{Rsp0, 16}},
-                      {MemTree{{Region{F.Ctx.mkAddK(Rsp0, 8), 8}}, {}}}},
-              MemTree{{Region{F.Rdi0, 8}}, {}}};
+  M.Forest = std::vector<MemTree>{
+      MemTree{{Region{Rsp0, 16}},
+              {MemTree{{Region{F.Ctx.mkAddK(Rsp0, 8), 8}}, {}}}},
+      MemTree{{Region{F.Rdi0, 8}}, {}}};
   std::vector<Region> Al, An, De;
   ASSERT_TRUE(M.locate(Region{F.Ctx.mkAddK(Rsp0, 8), 8}, Al, An, De));
   EXPECT_TRUE(Al.empty());

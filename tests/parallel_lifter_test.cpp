@@ -71,7 +71,7 @@ std::string fingerprint(const hg::BinaryResult &R) {
       S += "    P " + V.State.P.str(F.ctx()) + "\n";
       S += "    M " + V.State.M.str(F.ctx()) + "\n";
     }
-    for (const hg::Edge &E : F.Graph.Edges)
+    for (const hg::Edge &E : F.Graph.edges())
       S += "  e " + hexStr(E.From.Rip) + "/" + hexStr(E.From.CtrlHash) +
            " -> " + hexStr(E.To.Rip) + "/" + hexStr(E.To.CtrlHash) + " " +
            std::to_string(static_cast<int>(E.Kind)) + "\n";

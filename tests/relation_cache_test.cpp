@@ -351,9 +351,9 @@ TEST(StateLeqMemo, MatchesDirectLeq) {
   for (int I = 0; I < 4; ++I) {
     mem::MemModel M;
     const Expr *Rsp0 = Preds[0].reg64(x86::Reg::RSP);
-    M.Forest.push_back(mem::MemTree{{Region{Rsp0, 8}}, {}});
+    M.Forest.mut().push_back(mem::MemTree{{Region{Rsp0, 8}}, {}});
     if (I % 2)
-      M.Forest.push_back(
+      M.Forest.mut().push_back(
           mem::MemTree{{Region{Ctx.mkAddK(Rsp0, -16), 8}}, {}});
     if (I >= 2)
       M.noteWrite(Region{Ctx.mkAddK(Rsp0, -16), 8});
@@ -540,7 +540,7 @@ std::string liftFingerprint(const corpus::BuiltBinary &BB,
     for (const auto &[Key, V] : F.Graph.Vertices)
       S += "  v " + hexStr(Key.Rip) + "/" + hexStr(Key.CtrlHash) + " P " +
            V.State.P.str(F.ctx()) + " M " + V.State.M.str(F.ctx()) + "\n";
-    for (const hg::Edge &E : F.Graph.Edges)
+    for (const hg::Edge &E : F.Graph.edges())
       S += "  e " + hexStr(E.From.Rip) + "->" + hexStr(E.To.Rip) + "\n";
     for (const std::string &O : F.Obligations)
       S += "  o " + O + "\n";

@@ -38,7 +38,7 @@ struct CoverageChecker {
 
   bool edge(uint64_t From, uint64_t To) const {
     for (const hg::FunctionResult &F : R.Functions)
-      for (const hg::Edge &E : F.Graph.Edges)
+      for (const hg::Edge &E : F.Graph.edges())
         if (E.From.Rip == From && E.To.Rip == To)
           return true;
     return false;
@@ -46,7 +46,7 @@ struct CoverageChecker {
 
   bool annotatedAt(uint64_t From) const {
     for (const hg::FunctionResult &F : R.Functions)
-      for (const hg::Edge &E : F.Graph.Edges)
+      for (const hg::Edge &E : F.Graph.edges())
         if (E.From.Rip == From &&
             (E.Kind == CtrlKind::UnresJump || E.Kind == CtrlKind::UnresCall))
           return true;
@@ -55,7 +55,7 @@ struct CoverageChecker {
 
   bool retEdgeAt(uint64_t From) const {
     for (const hg::FunctionResult &F : R.Functions)
-      for (const hg::Edge &E : F.Graph.Edges)
+      for (const hg::Edge &E : F.Graph.edges())
         if (E.From.Rip == From && E.To.Rip == hg::RetTargetRip)
           return true;
     return false;

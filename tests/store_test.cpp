@@ -94,7 +94,7 @@ TEST(StoreRoundTrip, SerializeDeserializeByteIdentical) {
       EXPECT_EQ(G->Entry, F.Entry);
       EXPECT_EQ(G->MayReturn, F.MayReturn);
       EXPECT_EQ(G->Graph.Vertices.size(), F.Graph.Vertices.size());
-      EXPECT_EQ(G->Graph.Edges.size(), F.Graph.Edges.size());
+      EXPECT_EQ(G->Graph.edges().size(), F.Graph.edges().size());
       EXPECT_EQ(G->Obligations, F.Obligations);
       EXPECT_EQ(G->Callees, F.Callees);
       EXPECT_EQ(G->Diags.size(), F.Diags.size());

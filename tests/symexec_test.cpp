@@ -132,7 +132,7 @@ TEST(SymExecDifferential, SingleInstructionCoverage) {
         Ctx.mkVar(expr::VarClass::RetSym, "S_f", 64, BB->Img.Entry);
     SymState S0;
     S0.P = pred::Pred::entry(Ctx, RetSym);
-    S0.M.Forest.push_back(
+    S0.M.Forest.mut().push_back(
         mem::MemTree{{smt::Region{S0.P.reg64(Reg::RSP), 8}}, {}});
     StepOut Out = Exec.step(S0, I, RetSym);
     ASSERT_FALSE(Out.VerifError) << I.str() << ": " << Out.VerifReason;

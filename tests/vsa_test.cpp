@@ -54,7 +54,7 @@ bool hasObligation(const hg::BinaryResult &R, const std::string &Needle) {
 size_t tableEdges(const hg::BinaryResult &R) {
   size_t N = 0;
   for (const hg::FunctionResult &F : R.Functions)
-    for (const hg::Edge &E : F.Graph.Edges)
+    for (const hg::Edge &E : F.Graph.edges())
       if (E.ViaTable && E.To.Rip != hg::UnresolvedTargetRip)
         ++N;
   return N;
@@ -118,7 +118,7 @@ TEST(Vsa, CallbackTableResolvedCall) {
   // Each handler is a call edge carrying both callee and provenance.
   size_t CallEdges = 0;
   for (const hg::FunctionResult &F : R.Functions)
-    for (const hg::Edge &E : F.Graph.Edges)
+    for (const hg::Edge &E : F.Graph.edges())
       if (E.Kind == sem::CtrlKind::CallInternal && E.ViaTable) {
         EXPECT_NE(E.CalleeAddr, 0u);
         ++CallEdges;
