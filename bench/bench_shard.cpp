@@ -26,8 +26,7 @@
 //     work-stealing scheduler beats the --no-work-stealing ablation by
 //     >= 1.3x wall clock with identical merged bytes — timed the same way
 //     as the scaling gate. The measured dominant-to-small cost ratio is
-//     printed and recorded, and a ledger-warm rerun (observed seconds
-//     driving claim order, artifact store dropped) is timed alongside.
+//     printed and recorded.
 //
 // Results go to BENCH_shard.json (--out PATH to override). --smoke runs a
 // tiny corpus and only the identity/consistency gates; that mode is wired
@@ -254,15 +253,14 @@ struct CliRun {
 };
 
 /// Run `hglift shard Paths... --cache-dir Dir/cache Extra...` as its own
-/// process — the same HGLIFT_BIN the workers exec — and time it. The
-/// store under Dir/cache is emptied first unless Fresh is false.
+/// process — the same HGLIFT_BIN the workers exec — on an emptied store
+/// under Dir/cache, and time it.
 CliRun runShardCli(const std::vector<std::string> &Paths,
                    const std::string &Dir,
-                   const std::vector<std::string> &Extra, bool Fresh = true) {
+                   const std::vector<std::string> &Extra) {
   std::string Cache = Dir + "/cache", ReportPath = Dir + "/report.json",
               StatsPath = Dir + "/stats.json";
-  if (Fresh)
-    std::filesystem::remove_all(Cache);
+  std::filesystem::remove_all(Cache);
   std::filesystem::remove(ReportPath);
   std::vector<std::string> Args = {HGLIFT_BIN, "shard"};
   Args.insert(Args.end(), Paths.begin(), Paths.end());
@@ -548,8 +546,6 @@ int main(int argc, char **argv) {
                    : "fewer than 4 hardware threads";
   SkewCost Cost;
   PairedTiming Skew;
-  double SkewWarmWall = 0;
-  uint64_t SkewWarmSteals = 0;
   bool SkewPass = true, SkewIdentical = true;
   if (!SkewSkipped) {
     std::vector<std::string> SkewPaths =
@@ -558,31 +554,18 @@ int main(int argc, char **argv) {
     std::printf("skew corpus: dominant %.3fs, small %.3fs alone = %.2fx "
                 "cost ratio\n",
                 Cost.Dominant, Cost.Small, Cost.Ratio);
-    std::string WSDir = WorkRoot + "/skew_ws";
     Skew = timePairs(SkewPaths, WorkRoot + "/skew_rr",
                      {"--library", "--shards", "4", "--no-work-stealing"},
-                     WSDir, {"--library", "--shards", "4"});
-    // Ledger-warm: keep the cost ledger from the last stealing run but
-    // drop the lifted-artifact store, so the rerun re-lifts everything
-    // with observed seconds (not the static heuristic) driving claim
-    // order.
-    std::filesystem::remove_all(WSDir + "/cache/objects");
-    std::filesystem::remove_all(WSDir + "/cache/shard");
-    CliRun Warm = runShardCli(SkewPaths, WSDir,
-                              {"--library", "--shards", "4"},
-                              /*Fresh=*/false);
-    SkewWarmWall = Warm.Wall;
-    SkewWarmSteals = Warm.Steals;
-    SkewIdentical = Skew.Ok && Warm.Ok && Warm.Report == Skew.Report;
+                     WorkRoot + "/skew_ws", {"--library", "--shards", "4"});
+    SkewIdentical = Skew.Ok;
     SkewPass = SkewIdentical && Skew.Ratio >= 1.3;
     auto [MinSteals, MaxSteals] =
         std::minmax_element(Skew.BSteals.begin(), Skew.BSteals.end());
     std::printf("skew: round-robin %.3fs vs stealing %.3fs = %.2fx "
-                "(medians of %d alternating pairs, %llu-%llu steals; "
-                "ledger-warm %.3fs, %llu steals); bytes %s\n\n",
+                "(medians of %d alternating pairs, %llu-%llu steals); "
+                "bytes %s\n\n",
                 Skew.AMedian, Skew.BMedian, Skew.Ratio, TimedPairs,
                 (unsigned long long)*MinSteals, (unsigned long long)*MaxSteals,
-                Warm.Wall, (unsigned long long)Warm.Steals,
                 SkewIdentical ? "identical" : "DIFFER");
   } else {
     std::printf("skew: skipped (%s)\n\n", SkewSkipReason.c_str());
@@ -655,9 +638,6 @@ int main(int argc, char **argv) {
       << ",\n"
       << "    \"work_stealing_median_seconds\": " << jsonNum(Skew.BMedian)
       << ",\n"
-      << "    \"ledger_warm_wall_seconds\": " << jsonNum(SkewWarmWall)
-      << ",\n"
-      << "    \"ledger_warm_steals\": " << SkewWarmSteals << ",\n"
       << "    \"speedup\": " << jsonNum(Skew.Ratio) << ",\n"
       << "    \"bytes_identical\": " << (SkewIdentical ? "true" : "false")
       << "\n"

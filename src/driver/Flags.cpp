@@ -213,12 +213,6 @@ const std::vector<Flag> &flagTable() {
             "worker processes (default 1: in-process)", 1, U32, "auto"),
       toggle("--no-work-stealing", InShard, FIELD(Shard.WorkStealing), false,
              "ablation: static round-robin claims"),
-      choice<shard::StealGranularity>(
-          "--steal-granularity", "binary|function", InShard,
-          FIELD(Shard.Granularity),
-          {{"binary", shard::StealGranularity::Binary},
-           {"function", shard::StealGranularity::Function}},
-          "claimable unit (default binary)"),
       toggle("--progress", InShard, FIELD(Shard.Progress), true,
              "live progress line on stderr"),
       value("--shard-worker-fds", "G,R", InShard, FIELD(WorkerFds),

@@ -46,35 +46,6 @@ expr::MemOracle OracleCtx::initMem() const {
 
 namespace {
 
-/// Evaluate a RelOp on concrete operands (the same table leq entailment
-/// and the range clauses use).
-bool relHolds(pred::RelOp Op, uint64_t U, uint64_t B) {
-  int64_t S = static_cast<int64_t>(U), SB = static_cast<int64_t>(B);
-  switch (Op) {
-  case pred::RelOp::Eq:
-    return U == B;
-  case pred::RelOp::Ne:
-    return U != B;
-  case pred::RelOp::ULt:
-    return U < B;
-  case pred::RelOp::ULe:
-    return U <= B;
-  case pred::RelOp::UGe:
-    return U >= B;
-  case pred::RelOp::UGt:
-    return U > B;
-  case pred::RelOp::SLt:
-    return S < SB;
-  case pred::RelOp::SLe:
-    return S <= SB;
-  case pred::RelOp::SGe:
-    return S >= SB;
-  case pred::RelOp::SGt:
-    return S > SB;
-  }
-  return true;
-}
-
 /// Does the tracked flag abstraction agree with the machine's flags? Each
 /// FlagState kind constrains a different subset: Cmp and Test pin all of
 /// ZF/SF/CF/OF, Res pins ZF/SF (the producing instructions disagree on
@@ -236,7 +207,7 @@ std::optional<SatFailure> stateSatisfiesExplain(const pred::Pred &P,
     if (C.E->hasFreshLeaf())
       continue;
     auto EV = expr::evalExpr(C.E, Vars, InitMem);
-    if (EV && relHolds(C.Op, *EV, C.Bound))
+    if (EV && pred::relHolds(C.Op, *EV, C.Bound))
       continue;
     SatFailure F;
     F.K = SatFailure::Kind::Range;

@@ -412,13 +412,13 @@ FunctionResult Lifter::liftUncached(uint64_t Entry) {
       if (Memo.predLeq(Sigma.P, V->State.P) &&
           Memo.memLeq(Sigma.M, V->State.M))
         continue; // line 4: already covered
-      bool Widen = V->JoinCount >= Cfg.WidenAfterJoins;
+      bool Widen = V->JoinCount >= WidenAfterJoins;
       // Protected table indices keep their interval bound through a
       // bounded number of widened joins (then full widening resumes, so
       // termination is unaffected).
       const std::vector<const Expr *> *Prot =
           (Widen && !Protected.empty() &&
-           V->JoinCount < Cfg.WidenAfterJoins + 8)
+           V->JoinCount < WidenAfterJoins + 8)
               ? &Protected
               : nullptr;
       Cur.P = Pred::join(Ctx, V->State.P, Sigma.P, Widen, Prot);

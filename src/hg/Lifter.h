@@ -49,11 +49,12 @@ const char *liftOutcomeName(LiftOutcome O);
 
 class FunctionCache;
 
+/// Joins at one vertex before widening kicks in.
+constexpr unsigned WidenAfterJoins = 3;
+
 struct LiftConfig {
   sem::SymConfig Sym;
   smt::RelationSolver::Config Solver;
-  /// Joins at one vertex before widening kicks in.
-  unsigned WidenAfterJoins = 3;
   /// Fuel: maximum vertices per function before declaring a timeout.
   size_t MaxVertices = 50000;
   /// Wall-clock budget per function, seconds (paper: 4h; our corpus is

@@ -1,6 +1,7 @@
 #include "memmodel/MemModel.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace hglift::mem {
 
@@ -541,7 +542,20 @@ std::vector<Region> MemModel::allRegions() const {
   return Out;
 }
 
-bool MemModel::leq(const MemModel &A, const MemModel &B) {
+namespace {
+
+/// The first requirement of B's that A fails to meet: a relation B's
+/// forest asserts and A's does not, or clobber knowledge B lacks.
+struct MemLeqMiss {
+  enum class Kind : uint8_t { Relation, HavocAll, HavocGlobals, Written };
+  Kind K;
+  RegionRel Rel{};   ///< Relation: the relation of B's
+  Region Written{};  ///< Written: the region A may have written
+};
+
+/// The one walk behind leq() and leqExplain().
+std::optional<MemLeqMiss> firstMiss(const MemModel &A, const MemModel &B) {
+  using Kind = MemLeqMiss::Kind;
   // Every relation asserted by B must be asserted by A.
   std::vector<RegionRel> RA = A.relations();
   auto AssertedByA = [&](const RegionRel &R) {
@@ -562,58 +576,48 @@ bool MemModel::leq(const MemModel &A, const MemModel &B) {
   };
   for (const RegionRel &R : B.relations())
     if (!AssertedByA(R))
-      return false;
+      return MemLeqMiss{Kind::Relation, R};
 
   // B's clobber knowledge must cover A's.
   if (A.HavocAll && !B.HavocAll)
-    return false;
+    return MemLeqMiss{Kind::HavocAll};
   if (A.HavocGlobals && !(B.HavocGlobals || B.HavocAll))
-    return false;
+    return MemLeqMiss{Kind::HavocGlobals};
   if (!B.HavocAll)
     for (const Region &R : A.Clobbered)
       if (std::find(B.Clobbered.begin(), B.Clobbered.end(), R) ==
           B.Clobbered.end())
-        return false;
-  return true;
+        return MemLeqMiss{Kind::Written, {}, R};
+  return std::nullopt;
+}
+
+} // namespace
+
+bool MemModel::leq(const MemModel &A, const MemModel &B) {
+  return !firstMiss(A, B);
 }
 
 std::string MemModel::leqExplain(const expr::ExprContext &Ctx,
                                  const MemModel &A, const MemModel &B) {
-  std::vector<RegionRel> RA = A.relations();
-  auto AssertedByA = [&](const RegionRel &R) {
-    for (const RegionRel &S : RA) {
-      if (S.R0 == R.R0 && S.R1 == R.R1 && S.Rel == R.Rel)
-        return true;
-      if (S.R0 == R.R1 && S.R1 == R.R0) {
-        if (S.Rel == R.Rel &&
-            (R.Rel == MemRel::MustAlias || R.Rel == MemRel::MustSep))
-          return true;
-        if ((S.Rel == MemRel::MustEnc01 && R.Rel == MemRel::MustEnc10) ||
-            (S.Rel == MemRel::MustEnc10 && R.Rel == MemRel::MustEnc01))
-          return true;
-      }
-    }
-    return false;
-  };
-  for (const RegionRel &R : B.relations())
-    if (!AssertedByA(R))
-      return "memory relation " + R.R0.str(Ctx) + " " + memRelName(R.Rel) +
-             " " + R.R1.str(Ctx) + " required by the target is not asserted "
-             "by the state's forest";
-
-  if (A.HavocAll && !B.HavocAll)
+  std::optional<MemLeqMiss> Miss = firstMiss(A, B);
+  if (!Miss)
+    return std::string();
+  switch (Miss->K) {
+  case MemLeqMiss::Kind::Relation:
+    return "memory relation " + Miss->Rel.R0.str(Ctx) + " " +
+           memRelName(Miss->Rel.Rel) + " " + Miss->Rel.R1.str(Ctx) +
+           " required by the target is not asserted by the state's forest";
+  case MemLeqMiss::Kind::HavocAll:
     return "state may have clobbered all of memory but the target does not "
            "allow it";
-  if (A.HavocGlobals && !(B.HavocGlobals || B.HavocAll))
+  case MemLeqMiss::Kind::HavocGlobals:
     return "state may have clobbered global memory but the target does not "
            "allow it";
-  if (!B.HavocAll)
-    for (const Region &R : A.Clobbered)
-      if (std::find(B.Clobbered.begin(), B.Clobbered.end(), R) ==
-          B.Clobbered.end())
-        return "state may have written region " + R.str(Ctx) +
-               " but the target's clobber set does not include it";
-  return std::string();
+  case MemLeqMiss::Kind::Written:
+    break;
+  }
+  return "state may have written region " + Miss->Written.str(Ctx) +
+         " but the target's clobber set does not include it";
 }
 
 // --- digest ------------------------------------------------------------------

@@ -106,9 +106,9 @@ public:
   /// by A's (and B's clobber knowledge covers A's).
   static bool leq(const MemModel &A, const MemModel &B);
 
-  /// Cold-path mirror of leq(): repeats the same checks and renders the
-  /// first requirement A fails to meet (a B relation A does not assert, or
-  /// clobber knowledge B lacks). Returns the empty string when leq holds.
+  /// The first requirement A fails to meet (a B relation A does not
+  /// assert, or clobber knowledge B lacks), found by the very walk leq()
+  /// runs and rendered. Returns the empty string when leq holds.
   static std::string leqExplain(const expr::ExprContext &Ctx,
                                 const MemModel &A, const MemModel &B);
 

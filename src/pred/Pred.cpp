@@ -92,6 +92,33 @@ const char *relOpName(RelOp Op) {
   return "?";
 }
 
+bool relHolds(RelOp Op, uint64_t V, uint64_t Bound) {
+  int64_t S = static_cast<int64_t>(V), SB = static_cast<int64_t>(Bound);
+  switch (Op) {
+  case RelOp::Eq:
+    return V == Bound;
+  case RelOp::Ne:
+    return V != Bound;
+  case RelOp::ULt:
+    return V < Bound;
+  case RelOp::ULe:
+    return V <= Bound;
+  case RelOp::UGe:
+    return V >= Bound;
+  case RelOp::UGt:
+    return V > Bound;
+  case RelOp::SLt:
+    return S < SB;
+  case RelOp::SLe:
+    return S <= SB;
+  case RelOp::SGe:
+    return S >= SB;
+  case RelOp::SGt:
+    return S > SB;
+  }
+  return true;
+}
+
 Pred Pred::entry(ExprContext &Ctx, const Expr *RetSymTop) {
   Pred P;
   for (unsigned I = 0; I < x86::NumGPRs; ++I) {
@@ -823,102 +850,106 @@ struct Matcher {
   }
 };
 
-} // namespace
+/// The first clause of B that A fails to entail: its id in
+/// Pred::LeqFailure's numbering (-1 when B is bottom) and, for a range
+/// clause, the interval of its expression in A.
+struct LeqMiss {
+  int ClauseId = -1;
+  Interval InA = Interval::top();
+};
 
-bool Pred::leq(const Pred &A, const Pred &B) {
-  if (A.Bottom)
-    return true;
-  if (B.Bottom)
-    return false;
+/// The one walk behind leq() and leqExplain(). One Matcher accumulates
+/// bindings across B's clauses in order, so a clause is only meaningful
+/// in the context of the clauses before it; the walk stops at the first
+/// failure.
+std::optional<LeqMiss> firstMiss(const Pred &A, const Pred &B) {
+  if (A.isBottom())
+    return std::nullopt;
+  if (B.isBottom())
+    return LeqMiss{};
 
   Matcher M;
-  for (unsigned I = 0; I < x86::NumGPRs; ++I)
-    if (!M.match(B.Regs[I], A.Regs[I]))
-      return false;
-
-  if (B.Flags.K != FlagState::Kind::Unknown) {
-    if (A.Flags.K != B.Flags.K || A.Flags.Width != B.Flags.Width)
-      return false;
-    if (!M.match(B.Flags.L, A.Flags.L))
-      return false;
-    if (B.Flags.R && (!A.Flags.R || !M.match(B.Flags.R, A.Flags.R)))
-      return false;
+  for (unsigned I = 0; I < x86::NumGPRs; ++I) {
+    Reg R = x86::regFromNum(I);
+    if (!M.match(B.reg64(R), A.reg64(R)))
+      return LeqMiss{static_cast<int>(I)};
   }
 
-  for (const MemCell &CB : B.Cells) {
+  int Id = static_cast<int>(x86::NumGPRs); // 16: the flag clause
+  const FlagState &FA = A.flags(), &FB = B.flags();
+  if (FB.K != FlagState::Kind::Unknown &&
+      !(FA.K == FB.K && FA.Width == FB.Width && M.match(FB.L, FA.L) &&
+        (!FB.R || (FA.R && M.match(FB.R, FA.R)))))
+    return LeqMiss{Id};
+  ++Id;
+
+  for (const MemCell &CB : B.cells()) {
     bool Found = false;
-    for (const MemCell &CA : A.Cells)
+    for (const MemCell &CA : A.cells())
       if (CA.Size == CB.Size && M.matchCell(CB, CA)) {
         Found = true;
         break;
       }
     if (!Found)
-      return false;
+      return LeqMiss{Id};
+    ++Id;
   }
 
-  for (const RangeClause &C : B.Ranges) {
+  for (const RangeClause &C : B.ranges()) {
     Interval I = M.intervalInA(A, C.E);
     Interval Implied = clauseInterval(C.Op, C.Bound);
-    bool OK = false;
-    if (!I.isEmpty() && !I.isTop() && !Implied.isTop() &&
-        Implied.contains(I)) {
-      // For unsigned clauses the interval argument needs non-negativity,
-      // which clauseInterval's [0, B] form already enforces. A top Implied
-      // means the clause has no signed-interval rendering (UGe/UGt, large
-      // ULt bounds): containment is then vacuous, not an entailment — the
-      // clause must instead match identically below. (Found by the fuzzing
-      // campaign: a jb fall-through clause survived a covering check
-      // against a state from the taken path.)
-      OK = true;
-    }
+    // For unsigned clauses the interval argument needs non-negativity,
+    // which clauseInterval's [0, B] form already enforces. A top Implied
+    // means the clause has no signed-interval rendering (UGe/UGt, large
+    // ULt bounds): containment is then vacuous, not an entailment — the
+    // clause must instead match identically below. (Found by the fuzzing
+    // campaign: a jb fall-through clause survived a covering check
+    // against a state from the taken path.)
+    bool OK = !I.isEmpty() && !I.isTop() && !Implied.isTop() &&
+              Implied.contains(I);
     if (!OK && C.Op == RelOp::Ne && !I.isEmpty() &&
         !I.contains(static_cast<int64_t>(C.Bound)))
       OK = true;
-    if (!OK && !M.containsBoundVar(C.E)) {
-      // Identical clause present in A: sound only when C.E is shared
-      // verbatim between both states. If the Matcher bound a leaf of C.E
-      // to a different A expression, the pointer-equal clause in A talks
-      // about the *old* value, not the one B's clause constrains — e.g. a
-      // loop back-edge where rcx maps to j_rcx − 8 but A still carries
-      // j_rcx-range clauses from the previous iteration. (Found by the
-      // fuzzing campaign: a decrementing loop kept a stale [0, 2^32−1]
-      // bound on its join variable and dropped the taken jl successor.)
-      for (const RangeClause &CA : A.Ranges)
-        if (CA.E == C.E && CA.Op == C.Op && CA.Bound == C.Bound) {
-          OK = true;
-          break;
-        }
-    }
+    // Identical clause present in A: sound only when C.E is shared
+    // verbatim between both states. If the Matcher bound a leaf of C.E
+    // to a different A expression, the pointer-equal clause in A talks
+    // about the *old* value, not the one B's clause constrains — e.g. a
+    // loop back-edge where rcx maps to j_rcx − 8 but A still carries
+    // j_rcx-range clauses from the previous iteration. (Found by the
+    // fuzzing campaign: a decrementing loop kept a stale [0, 2^32−1]
+    // bound on its join variable and dropped the taken jl successor.)
+    if (!OK && !M.containsBoundVar(C.E))
+      OK = std::find(A.ranges().begin(), A.ranges().end(), C) !=
+           A.ranges().end();
     if (!OK)
-      return false;
+      return LeqMiss{Id, I};
+    ++Id;
   }
-
-  return true;
+  return std::nullopt;
 }
+
+} // namespace
+
+bool Pred::leq(const Pred &A, const Pred &B) { return !firstMiss(A, B); }
 
 std::optional<Pred::LeqFailure> Pred::leqExplain(const ExprContext &Ctx,
                                                  const Pred &A,
                                                  const Pred &B) {
-  if (A.Bottom)
+  std::optional<LeqMiss> Miss = firstMiss(A, B);
+  if (!Miss)
     return std::nullopt;
-  if (B.Bottom)
+  const int Id = Miss->ClauseId;
+  if (Id < 0)
     return LeqFailure{-1, "⊥", "target invariant is unreachable (bottom)"};
 
-  // The walk below must mirror leq() clause for clause — a shared Matcher
-  // accumulates bindings across clauses, so probing clauses in isolation
-  // would report different (and sometimes spurious) failures.
-  Matcher M;
-  for (unsigned I = 0; I < x86::NumGPRs; ++I)
-    if (!M.match(B.Regs[I], A.Regs[I])) {
-      x86::Reg R = x86::regFromNum(I);
-      return LeqFailure{
-          static_cast<int>(I),
-          x86::regName(R) + " == " + B.Regs[I]->str(Ctx),
-          "state has " + x86::regName(R) + " == " + A.Regs[I]->str(Ctx)};
-    }
+  if (Id < static_cast<int>(x86::NumGPRs)) {
+    Reg R = x86::regFromNum(static_cast<unsigned>(Id));
+    return LeqFailure{Id, x86::regName(R) + " == " + B.reg64(R)->str(Ctx),
+                      "state has " + x86::regName(R) + " == " +
+                          A.reg64(R)->str(Ctx)};
+  }
 
-  int Id = static_cast<int>(x86::NumGPRs); // 16: the flag clause
-  if (B.Flags.K != FlagState::Kind::Unknown) {
+  if (Id == static_cast<int>(x86::NumGPRs)) {
     auto FlagsStr = [&](const FlagState &F) {
       std::string S = "flags(" + std::string(F.K == FlagState::Kind::Cmp ? "cmp"
                                              : F.K == FlagState::Kind::Test
@@ -931,62 +962,32 @@ std::optional<Pred::LeqFailure> Pred::leqExplain(const ExprContext &Ctx,
         S += ", " + F.R->str(Ctx);
       return S + ")/" + std::to_string(F.Width);
     };
-    bool OK = A.Flags.K == B.Flags.K && A.Flags.Width == B.Flags.Width &&
-              M.match(B.Flags.L, A.Flags.L) &&
-              (!B.Flags.R || (A.Flags.R && M.match(B.Flags.R, A.Flags.R)));
-    if (!OK)
-      return LeqFailure{Id, FlagsStr(B.Flags),
-                        A.Flags.K == FlagState::Kind::Unknown
-                            ? "state has no flag knowledge"
-                            : "state has " + FlagsStr(A.Flags)};
-  }
-  ++Id;
-
-  for (const MemCell &CB : B.Cells) {
-    bool Found = false;
-    for (const MemCell &CA : A.Cells)
-      if (CA.Size == CB.Size && M.matchCell(CB, CA)) {
-        Found = true;
-        break;
-      }
-    if (!Found)
-      return LeqFailure{Id,
-                        "*[" + CB.Addr->str(Ctx) + "," +
-                            std::to_string(CB.Size) +
-                            "] == " + CB.Val->str(Ctx),
-                        "no matching memory clause in the state"};
-    ++Id;
+    return LeqFailure{Id, FlagsStr(B.Flags),
+                      A.Flags.K == FlagState::Kind::Unknown
+                          ? "state has no flag knowledge"
+                          : "state has " + FlagsStr(A.Flags)};
   }
 
-  for (const RangeClause &C : B.Ranges) {
-    Interval I = M.intervalInA(A, C.E);
-    Interval Implied = clauseInterval(C.Op, C.Bound);
-    bool OK = !I.isEmpty() && !I.isTop() && !Implied.isTop() &&
-              Implied.contains(I); // mirror leq(): top Implied is vacuous
-    if (!OK && C.Op == RelOp::Ne && !I.isEmpty() &&
-        !I.contains(static_cast<int64_t>(C.Bound)))
-      OK = true;
-    if (!OK && !M.containsBoundVar(C.E)) // mirror leq(): bound ⇒ old value
-      for (const RangeClause &CA : A.Ranges)
-        if (CA.E == C.E && CA.Op == C.Op && CA.Bound == C.Bound) {
-          OK = true;
-          break;
-        }
-    if (!OK) {
-      std::string Have =
-          I.isTop() ? std::string("no interval for it")
-                    : "its interval in the state is [" +
-                          std::to_string(I.lo()) + ", " +
-                          std::to_string(I.hi()) + "]";
-      return LeqFailure{Id,
-                        C.E->str(Ctx) + " " + relOpName(C.Op) + " " +
-                            std::to_string(C.Bound),
-                        Have};
-    }
-    ++Id;
+  size_t Cell = static_cast<size_t>(Id) - x86::NumGPRs - 1;
+  if (Cell < B.Cells.size()) {
+    const MemCell &CB = B.Cells[Cell];
+    return LeqFailure{Id,
+                      "*[" + CB.Addr->str(Ctx) + "," +
+                          std::to_string(CB.Size) +
+                          "] == " + CB.Val->str(Ctx),
+                      "no matching memory clause in the state"};
   }
 
-  return std::nullopt;
+  const RangeClause &C = B.Ranges[Cell - B.Cells.size()];
+  const Interval &I = Miss->InA;
+  std::string Have = I.isTop() ? std::string("no interval for it")
+                               : "its interval in the state is [" +
+                                     std::to_string(I.lo()) + ", " +
+                                     std::to_string(I.hi()) + "]";
+  return LeqFailure{Id,
+                    C.E->str(Ctx) + " " + relOpName(C.Op) + " " +
+                        std::to_string(C.Bound),
+                    Have};
 }
 
 // --- semantic satisfaction -------------------------------------------------------
@@ -1012,44 +1013,7 @@ bool Pred::holds(const expr::VarValuation &Vars,
   }
   for (const RangeClause &C : Ranges) {
     auto V = expr::evalExpr(C.E, Vars, InitMem);
-    if (!V)
-      return false;
-    int64_t S = static_cast<int64_t>(*V);
-    int64_t SB = static_cast<int64_t>(C.Bound);
-    bool OK;
-    switch (C.Op) {
-    case RelOp::Eq:
-      OK = *V == C.Bound;
-      break;
-    case RelOp::Ne:
-      OK = *V != C.Bound;
-      break;
-    case RelOp::ULt:
-      OK = *V < C.Bound;
-      break;
-    case RelOp::ULe:
-      OK = *V <= C.Bound;
-      break;
-    case RelOp::UGe:
-      OK = *V >= C.Bound;
-      break;
-    case RelOp::UGt:
-      OK = *V > C.Bound;
-      break;
-    case RelOp::SLt:
-      OK = S < SB;
-      break;
-    case RelOp::SLe:
-      OK = S <= SB;
-      break;
-    case RelOp::SGe:
-      OK = S >= SB;
-      break;
-    case RelOp::SGt:
-      OK = S > SB;
-      break;
-    }
-    if (!OK)
+    if (!V || !relHolds(C.Op, *V, C.Bound))
       return false;
   }
   return true;

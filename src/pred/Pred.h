@@ -60,6 +60,11 @@ enum class RelOp : uint8_t { Eq, Ne, ULt, ULe, UGe, UGt, SLt, SLe, SGe, SGt };
 
 const char *relOpName(RelOp Op);
 
+/// Concrete truth of V □ Bound. The signed relations read both operands as
+/// 64-bit two's complement, which is why SymExec puts every signed branch
+/// clause on a 64-bit expression.
+bool relHolds(RelOp Op, uint64_t V, uint64_t Bound);
+
 struct RangeClause {
   const Expr *E;
   RelOp Op;
@@ -245,10 +250,8 @@ public:
     std::string Why;    ///< why A does not entail it
   };
 
-  /// Cold-path mirror of leq(): repeats the same matching walk (same
-  /// Matcher semantics, same clause order) and reports the first clause of
-  /// B that A fails to entail. Returns nullopt when leq(A, B) holds. Only
-  /// called after a failed leq, so it favors clarity over speed.
+  /// The first clause of B that A fails to entail, found by the very walk
+  /// leq() runs and rendered. Returns nullopt when leq(A, B) holds.
   static std::optional<LeqFailure> leqExplain(const ExprContext &Ctx,
                                               const Pred &A, const Pred &B);
 

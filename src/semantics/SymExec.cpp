@@ -288,34 +288,19 @@ bool SymExec::addBranchClause(Pred &P, Cond CC, bool Taken) {
     return true;
   }
 
-  if (E->isConst()) {
-    // Decidable immediately.
-    uint64_t V = E->constVal();
-    int64_t SV = expr::signExtend(V, E->width());
-    int64_t SBn = static_cast<int64_t>(Bound);
-    switch (Op) {
-    case RelOp::Eq:
-      return V == Bound;
-    case RelOp::Ne:
-      return V != Bound;
-    case RelOp::ULt:
-      return V < Bound;
-    case RelOp::ULe:
-      return V <= Bound;
-    case RelOp::UGe:
-      return V >= Bound;
-    case RelOp::UGt:
-      return V > Bound;
-    case RelOp::SLt:
-      return SV < SBn;
-    case RelOp::SLe:
-      return SV <= SBn;
-    case RelOp::SGe:
-      return SV >= SBn;
-    case RelOp::SGt:
-      return SV > SBn;
-    }
+  // A signed condition compares both sides sign-extended from the
+  // operation's width, but a range clause's signed relations read their
+  // operands as 64-bit values: lift a narrow signed clause to sext(E, 64)
+  // with the bound sign-extended to match.
+  bool Signed = Op == RelOp::SLt || Op == RelOp::SLe || Op == RelOp::SGe ||
+                Op == RelOp::SGt;
+  if (Signed && E->width() < 64) {
+    Bound = static_cast<uint64_t>(expr::signExtend(Bound, E->width()));
+    E = Ctx.mkSExt(E, 64);
   }
+
+  if (E->isConst())
+    return pred::relHolds(Op, E->constVal(), Bound); // decidable immediately
 
   P.addRange(E, Op, Bound);
   // Contradiction check: an empty interval means this branch direction is

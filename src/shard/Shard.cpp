@@ -8,9 +8,6 @@
 #include "driver/ExitCode.h"
 #include "driver/Flags.h"
 #include "elf/ElfReader.h"
-#include "store/CostLedger.h"
-#include "store/Store.h"
-#include "support/Format.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -21,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -33,6 +31,10 @@ namespace hglift::shard {
 
 using driver::ExitCode;
 using driver::toExit;
+
+/// Re-spawns granted to a crashed worker, and re-grants of a unit whose
+/// worker crashed or failed it, before the run is declared failed.
+constexpr unsigned MaxRetries = 1;
 
 unsigned resolveAutoShards(size_t NumUnits) {
   unsigned Hw = std::thread::hardware_concurrency();
@@ -64,11 +66,10 @@ std::string fragPath(const std::string &CacheDir, size_t Idx) {
 
 namespace {
 
-/// Static cost heuristic when the ledger has nothing: executable bytes
-/// dominate, with a per-function constant for symbol-rich libraries. The
-/// absolute scale only matters until the first observed completion — the
-/// progress reporter calibrates ETA against real seconds as they arrive,
-/// and the ledger replaces the estimate entirely on the next run.
+/// Static cost heuristic: executable bytes dominate, with a per-function
+/// constant for symbol-rich libraries. Only the order it induces matters
+/// to the scheduler; the progress reporter calibrates its scale against
+/// observed seconds as completions arrive.
 double heuristicCost(const elf::BinaryImage &Img) {
   size_t TextBytes = 0;
   for (const elf::Segment &S : Img.Segments)
@@ -140,49 +141,21 @@ bool ensureFragDir(const std::string &CacheDir, std::string &Err) {
 // --- claim-protocol plumbing ---------------------------------------------
 //
 // Line-based, newline-terminated, every message far below PIPE_BUF so
-// writes are atomic. Parent-to-worker: "RUN <id> L <bin>", "RUN <id> P
-// <bin> <e1>,<e2>,...", "BYE". Worker-to-parent: "REQ", "FIN <id> <exit>
-// <seconds>". The byte-level framing (writeAll/readLineBlocking) lives in
-// shard/LineProto.h because this seam is deliberately transport-shaped:
-// `hglift serve` speaks its JSONL request/response protocol over a socket
-// with the very same plumbing.
+// writes are atomic. Parent-to-worker: "RUN <id> <bin>", "BYE".
+// Worker-to-parent: "REQ", "FIN <id> <exit> <seconds>". The byte-level
+// framing (writeAll/readLineBlocking) lives in shard/LineProto.h because
+// this seam is deliberately transport-shaped: `hglift serve` speaks its
+// JSONL request/response protocol over a socket with the very same
+// plumbing.
 
 std::string makeRunLine(size_t Id, const WorkUnit &U) {
-  std::ostringstream OS;
-  OS << "RUN " << Id << " " << (U.K == WorkUnit::Kind::Lift ? "L" : "P")
-     << " " << U.Bin;
-  if (U.K == WorkUnit::Kind::Prewarm) {
-    OS << " ";
-    for (size_t I = 0; I < U.Entries.size(); ++I) {
-      if (I)
-        OS << ",";
-      OS << std::hex << U.Entries[I] << std::dec;
-    }
-  }
-  OS << "\n";
-  return OS.str();
+  return "RUN " + std::to_string(Id) + " " + std::to_string(U.Bin) + "\n";
 }
 
 bool parseRunLine(const std::string &Line, size_t &Id, WorkUnit &U) {
   std::istringstream IS(Line);
-  std::string Tag, Kind;
-  size_t Bin = 0;
-  if (!(IS >> Tag >> Id >> Kind >> Bin) || Tag != "RUN")
-    return false;
-  U.Bin = Bin;
-  if (Kind == "L") {
-    U.K = WorkUnit::Kind::Lift;
-    return true;
-  }
-  if (Kind != "P")
-    return false;
-  U.K = WorkUnit::Kind::Prewarm;
-  std::string List;
-  if (!(IS >> List))
-    return false;
-  for (const std::string &E : splitList(List))
-    U.Entries.push_back(std::strtoull(E.c_str(), nullptr, 16));
-  return !U.Entries.empty();
+  std::string Tag;
+  return (IS >> Tag >> Id >> U.Bin) && Tag == "RUN";
 }
 
 /// One worker slot in the parent: its process, its pipe ends, and its
@@ -322,114 +295,31 @@ struct ProgressLine {
 std::vector<WorkUnit> planUnits(const ShardOptions &Opt, unsigned Shards,
                                 ShardSchedStats &Sched) {
   std::vector<WorkUnit> Units;
-  store::CostLedger Ledger(Opt.Base.Cache.Dir + "/ledger");
   for (size_t I = 0; I < Opt.Binaries.size(); ++I) {
-    unsigned Owner = Shards ? static_cast<unsigned>(I % Shards) : 0;
-    WorkUnit Lift;
-    Lift.K = WorkUnit::Kind::Lift;
-    Lift.Bin = I;
-    Lift.RROwner = Owner;
-
-    auto Img = elf::readElfFile(Opt.Binaries[I]);
-    if (!Img) {
-      // Cost 0: the synthetic "unreadable" fragment is the cheapest unit
-      // in any queue. No ledger key to look up or record.
-      Units.push_back(std::move(Lift));
-      ++Sched.UnitsLift;
-      continue;
-    }
-
-    Lift.CostKey = store::costKey(*Img);
-    if (std::optional<store::CostRecord> R = Ledger.lookup(Lift.CostKey)) {
-      Lift.Est = R->Seconds;
-      Lift.FromLedger = true;
-      ++Sched.LedgerHits;
-    } else {
-      Lift.Est = heuristicCost(*Img);
-      ++Sched.LedgerMisses;
-    }
-
-    // Function granularity: split symbol-rich library binaries into
-    // advisory prewarm chunks. The lift unit runs after them (DepsLeft)
-    // and assembles its fragment from store hits, so the fragment bytes
-    // are exactly a warm run's — which are gated byte-identical to cold.
-    if (Opt.Granularity == StealGranularity::Function && Opt.Base.Library &&
-        Opt.PrewarmChunk > 0) {
-      std::vector<uint64_t> Entries;
-      for (const elf::Symbol &F : Img->Functions)
-        if (F.IsFunc)
-          Entries.push_back(F.Addr);
-      std::sort(Entries.begin(), Entries.end());
-      Entries.erase(std::unique(Entries.begin(), Entries.end()),
-                    Entries.end());
-      if (Entries.size() > Opt.PrewarmChunk) {
-        size_t NumChunks =
-            (Entries.size() + Opt.PrewarmChunk - 1) / Opt.PrewarmChunk;
-        size_t LiftId = Units.size() + NumChunks;
-        double FullEst = Lift.Est;
-        for (size_t C = 0; C < NumChunks; ++C) {
-          WorkUnit P;
-          P.K = WorkUnit::Kind::Prewarm;
-          P.Bin = I;
-          P.RROwner = Owner;
-          P.CostKey = Lift.CostKey;
-          P.FromLedger = Lift.FromLedger;
-          size_t Begin = C * Opt.PrewarmChunk;
-          size_t End = std::min(Entries.size(), Begin + Opt.PrewarmChunk);
-          P.Entries.assign(Entries.begin() + Begin, Entries.begin() + End);
-          P.Est = FullEst * static_cast<double>(End - Begin) /
-                  static_cast<double>(Entries.size());
-          P.Dependents.push_back(LiftId);
-          Units.push_back(std::move(P));
-          ++Sched.UnitsPrewarm;
-        }
-        Lift.DepsLeft = static_cast<unsigned>(NumChunks);
-        // The lift unit itself then runs at warm-cache speed: every hit
-        // is still Step-2 re-proven, so it is cheaper, not free.
-        Lift.Est = 0.25 * FullEst;
-      }
-    }
-
-    Units.push_back(std::move(Lift));
-    ++Sched.UnitsLift;
+    WorkUnit U;
+    U.Bin = I;
+    U.RROwner = Shards ? static_cast<unsigned>(I % Shards) : 0;
+    // An unreadable ELF costs 0: the synthetic "unreadable" fragment is
+    // the cheapest unit in any queue.
+    if (auto Img = elf::readElfFile(Opt.Binaries[I]))
+      U.Est = heuristicCost(*Img);
+    Sched.EstimatedSeconds += U.Est;
+    Units.push_back(U);
   }
   Sched.UnitsTotal = Units.size();
-  for (const WorkUnit &U : Units)
-    Sched.EstimatedSeconds += U.Est;
   return Units;
 }
 
 int execUnit(const ShardOptions &Opt, const WorkUnit &U, double *SecondsOut) {
+  if (U.Bin >= Opt.Binaries.size())
+    return toExit(ExitCode::Usage);
   auto T0 = std::chrono::steady_clock::now();
   int Exit = toExit(ExitCode::Ok);
-  if (U.K == WorkUnit::Kind::Lift) {
-    if (U.Bin >= Opt.Binaries.size())
-      return toExit(ExitCode::Usage);
-    int Accum = toExit(ExitCode::Ok);
-    std::string Frag = liftOneFragment(Opt, U.Bin, Accum);
-    std::string Path = fragPath(Opt.Base.Cache.Dir, U.Bin);
-    if (!writeAtomically(Path, Frag)) {
-      std::fprintf(stderr, "shard: cannot write %s\n", Path.c_str());
-      Exit = toExit(ExitCode::Io);
-    } else {
-      Exit = Accum;
-    }
-  } else {
-    // Prewarm: lift the chunk's functions into the shared store through
-    // the ordinary cache hook, with the very LiftConfig the lift unit's
-    // Session uses — so both key the store under one config digest.
-    if (U.Bin < Opt.Binaries.size()) {
-      if (auto Img = elf::readElfFile(Opt.Binaries[U.Bin])) {
-        store::CacheStore CS(Opt.Base.Cache.storeOptions());
-        hg::LiftConfig Cfg = Opt.Base.Lift;
-        Cfg.Cache = &CS;
-        hg::Lifter L(*Img, Cfg);
-        for (uint64_t E : U.Entries)
-          L.liftFunction(E);
-      }
-    }
-    // Advisory by contract: a prewarm that could not run leaves the
-    // cache cold and the lift unit does the work instead.
+  std::string Frag = liftOneFragment(Opt, U.Bin, Exit);
+  std::string Path = fragPath(Opt.Base.Cache.Dir, U.Bin);
+  if (!writeAtomically(Path, Frag)) {
+    std::fprintf(stderr, "shard: cannot write %s\n", Path.c_str());
+    Exit = toExit(ExitCode::Io);
   }
   if (SecondsOut)
     *SecondsOut =
@@ -502,8 +392,7 @@ ShardResult runShards(const ShardOptions &Opt) {
 
   unsigned Shards =
       Opt.Shards == 0 ? resolveAutoShards(Opt.Binaries.size()) : Opt.Shards;
-  // More workers than binaries only ever idle: with function granularity
-  // the extra units still funnel into per-binary fragments.
+  // More workers than binaries only ever idle.
   unsigned W = static_cast<unsigned>(
       std::min<size_t>(Shards, Opt.Binaries.size()));
   if (W == 0)
@@ -511,24 +400,17 @@ ShardResult runShards(const ShardOptions &Opt) {
   R.ShardsResolved = W;
 
   std::vector<WorkUnit> Units = planUnits(Opt, W, R.Sched);
-  store::CostLedger Ledger(Dir + "/ledger");
 
   // Shared scheduler state (parent side; the serial path drains the same
   // structures in-process).
   const size_t N = Units.size();
-  std::vector<uint8_t> Done(N, 0), ClaimedFlag(N, 0), AnyOwner(N, 0);
+  std::vector<uint8_t> ClaimedFlag(N, 0), AnyOwner(N, 0);
   std::vector<unsigned> UnitAttempts(N, 0);
-  std::vector<size_t> Ready;
-  for (size_t I = 0; I < N; ++I)
-    if (Units[I].DepsLeft == 0)
-      Ready.push_back(I);
+  std::vector<size_t> Ready(N);
+  std::iota(Ready.begin(), Ready.end(), size_t(0));
   size_t DoneCount = 0;
   int ExitAccum = toExit(ExitCode::Ok);
   double EstDone = 0;
-  std::vector<double> BinSecs(Opt.Binaries.size(), 0);
-  std::vector<unsigned> BinOutstanding(Opt.Binaries.size(), 0);
-  for (const WorkUnit &U : Units)
-    ++BinOutstanding[U.Bin];
 
   ProgressLine Progress;
   Progress.Enabled = Opt.Progress;
@@ -555,26 +437,15 @@ ShardResult runShards(const ShardOptions &Opt) {
     return Best;
   };
   auto MarkDone = [&](size_t Id, int Exit, double Secs) {
-    Done[Id] = 1;
     ++DoneCount;
     EstDone += Units[Id].Est;
-    if (Units[Id].K == WorkUnit::Kind::Lift)
-      ExitAccum = std::max(ExitAccum, Exit);
+    ExitAccum = std::max(ExitAccum, Exit);
     R.Sched.ObservedSeconds += Secs;
-    size_t Bin = Units[Id].Bin;
-    BinSecs[Bin] += Secs;
-    if (--BinOutstanding[Bin] == 0 && Units[Id].CostKey) {
-      if (Ledger.record(Units[Id].CostKey, BinSecs[Bin]))
-        ++R.Sched.LedgerRecords;
-    }
-    for (size_t Dep : Units[Id].Dependents)
-      if (--Units[Dep].DepsLeft == 0)
-        Ready.push_back(Dep);
   };
 
   if (W <= 1) {
     // Serial reference: drain the very same queue in-process, in the
-    // same cost-model order the scheduler would grant it.
+    // same order the scheduler would grant it.
     while (DoneCount < N) {
       long Id = PickUnit(0);
       if (Id < 0) {
@@ -663,7 +534,7 @@ ShardResult runShards(const ShardOptions &Opt) {
       ClaimedFlag[Id] = 0;
       AnyOwner[Id] = 1; // its owner may be gone; anyone may rescue it
       ++R.Sched.Requeues;
-      if (++UnitAttempts[Id] > Opt.MaxRetries) {
+      if (++UnitAttempts[Id] > MaxRetries) {
         FatalError = "unit for " + Opt.Binaries[Units[Id].Bin] +
                      " failed repeatedly";
         FatalExit = toExit(ExitCode::Io);
@@ -695,7 +566,7 @@ ShardResult runShards(const ShardOptions &Opt) {
         if (!Requeue(Id))
           return;
       }
-      if (S.SpawnCount <= Opt.MaxRetries) {
+      if (S.SpawnCount <= MaxRetries) {
         if (!spawnWorker(Opt, Exe, Slots, SlotIdx, false, false)) {
           FatalError = "fork failed";
           FatalExit = toExit(ExitCode::Io);
@@ -867,22 +738,14 @@ void writeShardStatsJson(std::ostream &OS, const ShardOptions &Opt,
     return std::string(Buf);
   };
   OS << "{\n"
-     << "  \"shard_stats_schema_version\": 1,\n"
+     << "  \"shard_stats_schema_version\": 2,\n"
      << "  \"binaries\": " << Opt.Binaries.size() << ",\n"
      << "  \"shards\": " << R.ShardsResolved << ",\n"
      << "  \"auto_shards\": " << (Opt.Shards == 0 ? "true" : "false")
      << ",\n"
      << "  \"work_stealing\": " << (Opt.WorkStealing ? "true" : "false")
      << ",\n"
-     << "  \"granularity\": \""
-     << (Opt.Granularity == StealGranularity::Function ? "function"
-                                                       : "binary")
-     << "\",\n"
-     << "  \"units\": {\n"
-     << "    \"total\": " << R.Sched.UnitsTotal << ",\n"
-     << "    \"lift\": " << R.Sched.UnitsLift << ",\n"
-     << "    \"prewarm\": " << R.Sched.UnitsPrewarm << "\n"
-     << "  },\n"
+     << "  \"units\": " << R.Sched.UnitsTotal << ",\n"
      << "  \"scheduler\": {\n"
      << "    \"claims\": " << R.Sched.Claims << ",\n"
      << "    \"steals\": " << R.Sched.Steals << ",\n"
@@ -891,11 +754,7 @@ void writeShardStatsJson(std::ostream &OS, const ShardOptions &Opt,
      << "    \"workers_crashed\": " << R.WorkersCrashed << ",\n"
      << "    \"workers_retried\": " << R.WorkersRetried << "\n"
      << "  },\n"
-     << "  \"ledger\": {\n"
-     << "    \"hits\": " << R.Sched.LedgerHits << ",\n"
-     << "    \"misses\": " << R.Sched.LedgerMisses << ",\n"
-     << "    \"records\": " << R.Sched.LedgerRecords << "\n"
-     << "  },\n"
+
      << "  \"cost\": {\n"
      << "    \"estimated_seconds\": " << Num(R.Sched.EstimatedSeconds)
      << ",\n"

@@ -8,28 +8,22 @@
 // leaves N-1 processes idle behind a straggler.
 //
 //   parent                           worker k (fork/exec of hglift with
-//     planUnits(): cost-model         `--shard-worker-fds G,R`)
-//     ordered queue                     |
+//     planUnits(): longest-           `--shard-worker-fds G,R`)
+//     estimated-first queue             |
 //     |  <-- "REQ"  -------------------+   claim the next unit
-//     |  --- "RUN <id> ..." -->        |   lift it, write its fragment
+//     |  --- "RUN <id> <bin>" -->      |   lift it, write its fragment
 //     |  <-- "FIN <id> <exit> <s>" ----+   report outcome + seconds
 //     |  <-- "REQ" ... "BYE" -->       |   drain until the queue is dry
 //
-// Claim order comes from a cost model: a static heuristic (executable
-// bytes, function count) refined by the persisted cost ledger
-// (store/CostLedger.h) under --cache-dir, so warm corpora schedule
-// longest-job-first from observed lift seconds. Units are whole binaries
-// by default; with function granularity, large library binaries are
-// additionally split into advisory *prewarm* units that populate the
-// shared artifact store so the fragment-producing lift unit finishes in
-// cache-hit time.
+// One unit per input binary. Claim order is longest-estimated-first by a
+// static heuristic (executable bytes, function count), so a dominant
+// binary starts early instead of last.
 //
-// The contract that makes all of this testable is unchanged: the merged
-// report is byte-identical to a serial run under any worker count and any
-// steal order. That falls out of construction — the serial path (one
-// shard) executes the very same unit code in-process, fragment content
-// depends only on (binary, options), and prewarm units only ever touch
-// the store, whose warm-vs-cold report identity is already gated.
+// The contract that makes all of this testable: the merged report is
+// byte-identical to a serial run under any worker count and any steal
+// order. That falls out of construction — the serial path (one shard)
+// executes the very same unit code in-process, and fragment content
+// depends only on (binary, options).
 //
 // Crash handling: a worker that dies on a signal (or exits without
 // draining cleanly) has its claimed-but-unfinished unit returned to the
@@ -56,31 +50,18 @@
 #include "support/LiftStats.h"
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace hglift::shard {
 
-/// How finely the queue splits the corpus into claimable units.
-enum class StealGranularity : uint8_t {
-  /// One lift unit per input binary (the default).
-  Binary,
-  /// Additionally split large library binaries into store-prewarm units
-  /// of PrewarmChunk exported functions each; the binary's lift unit runs
-  /// after them and assembles its fragment from cache hits.
-  Function,
-};
-
 /// Everything a sharded run can be configured with. Whatever the CLI can
 /// set here survives the trip through a worker's argv: the worker argv is
 /// rendered from the flag table (driver/Flags.h) that parsed it.
 struct ShardOptions {
-  /// What every unit lifts with — the lift unit's Session and the prewarm
-  /// units' Lifter alike, so both key the store under one config digest.
-  /// Base.Cache.Dir is the coordination root (required): the shared
-  /// artifact store, the fragment directory <Dir>/shard/, and the cost
-  /// ledger <Dir>/ledger/.
+  /// What every unit lifts with. Base.Cache.Dir is the coordination root
+  /// (required): the shared artifact store and the fragment directory
+  /// <Dir>/shard/.
   Options Base;
   /// Run the Step-2 checker per binary (fragment then carries the proof
   /// summary, exactly as `hglift check --report-json` would emit it).
@@ -98,53 +79,30 @@ struct ShardOptions {
   /// units the round-robin plan owns, in plan order. The protocol and the
   /// merged bytes are identical either way; only idle time differs.
   bool WorkStealing = true;
-  StealGranularity Granularity = StealGranularity::Binary;
-  /// Exported functions per prewarm unit (function granularity). A
-  /// library binary is split only when it has more than this many.
-  unsigned PrewarmChunk = 4;
   /// Render a live progress/ETA line to stderr (claimed/completed units,
-  /// per-worker state, steal count, ledger-calibrated ETA).
+  /// per-worker state, steal count, ETA calibrated from observed seconds).
   bool Progress = false;
   /// Executable to spawn as the worker. Empty = /proc/self/exe, which is
   /// correct when the caller is hglift itself; tests point this at the
   /// built hglift binary.
   std::string WorkerExe;
-  /// Re-spawns granted to a crashed worker before the run is declared
-  /// failed.
-  unsigned MaxRetries = 1;
 
   bool operator==(const ShardOptions &) const = default;
 };
 
-/// One claimable unit of the queue.
+/// One claimable unit of the queue: lift (and optionally check) one
+/// binary and write its fragment.
 struct WorkUnit {
-  enum class Kind : uint8_t {
-    Lift,    ///< lift (and optionally check) one binary, write its fragment
-    Prewarm, ///< lift a chunk of one library binary's functions into the
-             ///< shared store; advisory — failure degrades to a cold cache
-  };
-  Kind K = Kind::Lift;
   /// Global index into ShardOptions::Binaries.
   size_t Bin = 0;
-  /// Function entry addresses (Prewarm only).
-  std::vector<uint64_t> Entries;
   /// The worker the static round-robin plan gives this unit to (binary i
   /// belongs to worker i % Shards) — the *reference* assignment: the
   /// --no-work-stealing ablation grants exactly these units, and a claim
   /// by any other worker counts as a steal.
   unsigned RROwner = 0;
-  /// Cost estimate in (pseudo-)seconds: ledger seconds when FromLedger,
-  /// otherwise the static executable-bytes heuristic.
+  /// Cost estimate in pseudo-seconds from the static executable-bytes
+  /// heuristic; 0 for an unreadable ELF.
   double Est = 0;
-  bool FromLedger = false;
-  /// Cost-ledger key of the binary (0 when the ELF is unreadable).
-  uint64_t CostKey = 0;
-  /// Prewarm units of the same binary that must complete (or be given up
-  /// on) before this Lift unit is granted — avoids two workers lifting
-  /// the same functions concurrently.
-  unsigned DepsLeft = 0;
-  /// Unit ids whose DepsLeft this unit's completion decrements.
-  std::vector<size_t> Dependents;
 };
 
 /// `--shards auto`: hardware threads, capped by the unit count and by
@@ -152,11 +110,10 @@ struct WorkUnit {
 /// /proc/meminfo is readable). Never less than 1.
 unsigned resolveAutoShards(size_t NumUnits);
 
-/// Build the cost-model-ordered unit queue: read each ELF (unreadable
-/// ones become cost-0 lift units that emit the synthetic "unreadable"
-/// fragment), consult the ledger, split large library binaries into
-/// prewarm chunks under function granularity. Sched gets the plan-time
-/// counters (units, ledger hits/misses, estimated seconds).
+/// Build the unit queue, one unit per binary: read each ELF (unreadable
+/// ones become cost-0 units that emit the synthetic "unreadable"
+/// fragment) and estimate its cost. Sched gets the plan-time counters
+/// (units, estimated seconds).
 std::vector<WorkUnit> planUnits(const ShardOptions &Opt, unsigned Shards,
                                 ShardSchedStats &Sched);
 
@@ -164,10 +121,9 @@ std::vector<WorkUnit> planUnits(const ShardOptions &Opt, unsigned Shards,
 std::string fragPath(const std::string &CacheDir, size_t Idx);
 
 /// Execute one unit in this process — the code path both the serial
-/// reference and every worker run. Lift units write their fragment and
-/// return the per-binary exit code (0/1, or 3 when the fragment cannot be
-/// written); Prewarm units populate the store and always return 0.
-/// SecondsOut (optional) receives the unit's wall time.
+/// reference and every worker run. Writes the unit's fragment and returns
+/// the per-binary exit code (0/1, or 3 when the fragment cannot be
+/// written). SecondsOut (optional) receives the unit's wall time.
 int execUnit(const ShardOptions &Opt, const WorkUnit &U,
              double *SecondsOut = nullptr);
 
@@ -194,7 +150,7 @@ struct ShardResult {
   /// Workers that died on a signal or exited without draining cleanly.
   unsigned WorkersCrashed = 0;
   unsigned WorkersRetried = 0;
-  /// Scheduler counters (units, claims, steals, requeues, ledger usage).
+  /// Scheduler counters (units, claims, steals, requeues, cost totals).
   ShardSchedStats Sched;
   /// The merged report: {"shard_schema_version": 1, "binaries": [f0, f1,
   /// ...]} with each fragment spliced in verbatim, entry order.
@@ -203,12 +159,12 @@ struct ShardResult {
 
 /// Orchestrate the full run: plan the queue, spawn workers (or drain the
 /// queue in-process), feed claims, requeue crashed units, retry crashed
-/// workers once, merge fragments, persist ledger observations.
+/// workers once, merge fragments.
 ShardResult runShards(const ShardOptions &Opt);
 
 /// The `hglift shard --stats-json` payload: resolved worker count, unit
-/// and claim counters, steal/requeue counts, ledger usage, and cost-model
-/// totals. Schema documented in docs/CLI.md.
+/// and claim counters, steal/requeue counts, and cost-model totals.
+/// Schema documented in docs/CLI.md.
 void writeShardStatsJson(std::ostream &OS, const ShardOptions &Opt,
                          const ShardResult &R);
 

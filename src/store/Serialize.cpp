@@ -590,7 +590,7 @@ uint64_t configDigest(const hg::LiftConfig &Cfg) {
   uint64_t H = FnvOffset;
   H = fnv1aU64(H, static_cast<uint64_t>(Cfg.Sym.Policy));
   H = fnv1aU64(H, Cfg.Sym.MaxJumpTableEntries);
-  H = fnv1aU64(H, Cfg.WidenAfterJoins);
+  H = fnv1aU64(H, hg::WidenAfterJoins);
   H = fnv1aU64(H, Cfg.MaxVertices);
   H = fnv1aU64(H, Cfg.EnableJoin);
   H = fnv1aU64(H, Cfg.CtrlImmediateException);

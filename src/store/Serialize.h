@@ -49,7 +49,9 @@ constexpr uint32_t StoreSchemaVersion = 2;
 
 /// Bump whenever the instruction semantics or the abstract domains change
 /// in a way that can alter a lifted graph (see the header comment).
-constexpr uint32_t SemanticsRevision = 1;
+/// 2: a signed branch clause on an 8-, 16- or 32-bit compare is stated on
+/// the operand sign-extended to 64 bits.
+constexpr uint32_t SemanticsRevision = 2;
 
 /// One instruction span: (address, encoded length).
 using Span = std::pair<uint64_t, uint32_t>;

@@ -25,7 +25,7 @@ struct LiftStats {
   uint64_t Vertices = 0;
   /// Joins performed at existing vertices (Algorithm 1 lines 5-7).
   uint64_t Joins = 0;
-  /// Joins that widened (JoinCount exceeded LiftConfig::WidenAfterJoins).
+  /// Joins that widened (JoinCount reached hg::WidenAfterJoins).
   uint64_t Widenings = 0;
   /// Symbolic instruction executions (SymExec::step calls).
   uint64_t Steps = 0;
@@ -114,19 +114,14 @@ struct LiftStats {
 };
 
 /// Counters for one sharded run's scheduler (shard/Shard.h): how the work
-/// units were planned, claimed, and stolen, and what the cost model knew.
-/// Lives here for the same reason LiftStats does — the shard runner, the
-/// driver's --stats-json writer, and the benches all read it without
-/// depending on each other. Purely observational: none of these counters
-/// feed back into scheduling decisions.
+/// units were planned, claimed, and stolen, and what the cost model
+/// estimated. Lives here for the same reason LiftStats does — the shard
+/// runner, the driver's --stats-json writer, and the benches all read it
+/// without depending on each other. Purely observational: none of these
+/// counters feed back into scheduling decisions.
 struct ShardSchedStats {
-  /// Work units planned (lift units + prewarm units).
+  /// Work units planned (one per input binary).
   uint64_t UnitsTotal = 0;
-  /// Units that produce a report fragment (one per input binary).
-  uint64_t UnitsLift = 0;
-  /// Advisory store-prewarm units (function-granularity splitting of
-  /// large library binaries; failures degrade to a cold cache).
-  uint64_t UnitsPrewarm = 0;
   /// Units granted to workers over the claim protocol.
   uint64_t Claims = 0;
   /// Claims whose unit the static round-robin plan would have assigned to
@@ -135,31 +130,11 @@ struct ShardSchedStats {
   /// Claimed-but-unfinished units returned to the queue by a worker crash
   /// or a unit-level IO failure, then granted again.
   uint64_t Requeues = 0;
-  /// Cost-ledger lookups that produced a usable record at plan time.
-  uint64_t LedgerHits = 0;
-  /// Lookups that fell back to the static text-size heuristic.
-  uint64_t LedgerMisses = 0;
-  /// Ledger records written back after observed completions.
-  uint64_t LedgerRecords = 0;
-  /// Sum of per-unit cost estimates at plan time (seconds; ledger entries
-  /// verbatim, heuristic entries in calibrated pseudo-seconds).
+  /// Sum of per-unit cost estimates at plan time (heuristic
+  /// pseudo-seconds).
   double EstimatedSeconds = 0;
   /// Sum of per-unit observed wall seconds reported by workers.
   double ObservedSeconds = 0;
-
-  void merge(const ShardSchedStats &O) {
-    UnitsTotal += O.UnitsTotal;
-    UnitsLift += O.UnitsLift;
-    UnitsPrewarm += O.UnitsPrewarm;
-    Claims += O.Claims;
-    Steals += O.Steals;
-    Requeues += O.Requeues;
-    LedgerHits += O.LedgerHits;
-    LedgerMisses += O.LedgerMisses;
-    LedgerRecords += O.LedgerRecords;
-    EstimatedSeconds += O.EstimatedSeconds;
-    ObservedSeconds += O.ObservedSeconds;
-  }
 };
 
 } // namespace hglift

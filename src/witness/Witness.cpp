@@ -41,34 +41,6 @@ uint64_t fnv1a(const std::string &S) {
   return H;
 }
 
-/// Same RelOp truth table the oracle's range clauses use.
-bool relHolds(pred::RelOp Op, uint64_t U, uint64_t B) {
-  int64_t S = static_cast<int64_t>(U), SB = static_cast<int64_t>(B);
-  switch (Op) {
-  case pred::RelOp::Eq:
-    return U == B;
-  case pred::RelOp::Ne:
-    return U != B;
-  case pred::RelOp::ULt:
-    return U < B;
-  case pred::RelOp::ULe:
-    return U <= B;
-  case pred::RelOp::UGe:
-    return U >= B;
-  case pred::RelOp::UGt:
-    return U > B;
-  case pred::RelOp::SLt:
-    return S < SB;
-  case pred::RelOp::SLe:
-    return S <= SB;
-  case pred::RelOp::SGe:
-    return S >= SB;
-  case pred::RelOp::SGt:
-    return S > SB;
-  }
-  return true;
-}
-
 /// Inverse of pred::relOpName, for replaying recorded range claims.
 std::optional<pred::RelOp> relOpFromName(const std::string &N) {
   using RO = pred::RelOp;
@@ -141,7 +113,7 @@ bool claimViolated(const diag::WitnessClaim &C, const Machine &M) {
   }
   if (C.Type == "range") {
     auto Op = relOpFromName(C.RangeOp);
-    return !Op || !relHolds(*Op, C.RangeValue, C.RangeBound);
+    return !Op || !pred::relHolds(*Op, C.RangeValue, C.RangeBound);
   }
   return true;
 }

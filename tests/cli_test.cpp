@@ -449,6 +449,14 @@ TEST(CliFlags, UsageErrorsNameTheirArgument) {
             std::string::npos)
       << R.Output;
 
+  // A removed flag is an unknown option, not a silently accepted no-op.
+  R = runCli("shard /dev/null --cache-dir " + tmpPath("gone_cache") +
+             " --steal-granularity function");
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("unknown option --steal-granularity"),
+            std::string::npos)
+      << R.Output;
+
   R = runCli("/dev/null /dev/zero");
   EXPECT_EQ(R.ExitCode, 2) << R.Output;
 
@@ -563,8 +571,6 @@ driver::CommandLine randomCommandLine(Rng &R, driver::Command Cmd) {
       CL.Shard.Binaries.push_back(Name("bin"));
     CL.Shard.Shards = unsigned(R.below(9)); // 0 = auto
     CL.Shard.WorkStealing = Coin();
-    if (Coin())
-      CL.Shard.Granularity = shard::StealGranularity::Function;
     CL.Shard.Progress = Coin();
     if (Coin())
       CL.WorkerFds = {int(R.below(1000)), int(R.below(1000))};

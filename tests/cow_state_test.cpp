@@ -623,6 +623,42 @@ bool leq(const Pred &A, const Pred &B) {
   return true;
 }
 
+/// MemModel's order written out as one plain check, the reference for
+/// the walk leq() and leqExplain() share.
+bool memLeq(const MemModel &A, const MemModel &B) {
+  std::vector<mem::RegionRel> RA = A.relations();
+  auto AssertedByA = [&](const mem::RegionRel &R) {
+    for (const mem::RegionRel &S : RA) {
+      if (S.R0 == R.R0 && S.R1 == R.R1 && S.Rel == R.Rel)
+        return true;
+      if (S.R0 == R.R1 && S.R1 == R.R0) {
+        if (S.Rel == R.Rel &&
+            (R.Rel == smt::MemRel::MustAlias || R.Rel == smt::MemRel::MustSep))
+          return true;
+        if ((S.Rel == smt::MemRel::MustEnc01 &&
+             R.Rel == smt::MemRel::MustEnc10) ||
+            (S.Rel == smt::MemRel::MustEnc10 &&
+             R.Rel == smt::MemRel::MustEnc01))
+          return true;
+      }
+    }
+    return false;
+  };
+  for (const mem::RegionRel &R : B.relations())
+    if (!AssertedByA(R))
+      return false;
+  if (A.HavocAll && !B.HavocAll)
+    return false;
+  if (A.HavocGlobals && !(B.HavocGlobals || B.HavocAll))
+    return false;
+  if (!B.HavocAll)
+    for (const Region &R : A.Clobbered)
+      if (std::find(B.Clobbered.begin(), B.Clobbered.end(), R) ==
+          B.Clobbered.end())
+        return false;
+  return true;
+}
+
 } // namespace reference
 
 /// leq, its reference and leqExplain must all tell the same story.
@@ -633,6 +669,18 @@ void expectLeqAgrees(const ExprContext &Ctx, const Pred &A, const Pred &B,
       << What << "\nA: " << A.str(Ctx) << "\nB: " << B.str(Ctx);
   ASSERT_EQ(!Got, Pred::leqExplain(Ctx, A, B).has_value()) << What;
   Holds += Got;
+}
+
+/// The same for memory models; returns leqExplain's text.
+std::string expectLeqAgrees(const ExprContext &Ctx, const MemModel &A,
+                            const MemModel &B, const std::string &What,
+                            unsigned &Holds) {
+  bool Got = MemModel::leq(A, B);
+  std::string Why = MemModel::leqExplain(Ctx, A, B);
+  EXPECT_EQ(Got, reference::memLeq(A, B)) << What;
+  EXPECT_EQ(Got, Why.empty()) << What << ": " << Why;
+  Holds += Got;
+  return Why;
 }
 
 TEST(LeqTrail, FailedCellCandidateLeavesNoBinding) {
@@ -679,6 +727,36 @@ TEST(LeqTrail, MatchesCopyingMatcherOnRandomPairs) {
   // anything.
   EXPECT_GT(Holds, Pairs / 10);
   EXPECT_LT(Holds, Pairs - Pairs / 10);
+}
+
+TEST(MemLeq, MatchesReferenceOnRandomPairs) {
+  World W(0x3e4);
+  Pred P = Pred::entry(W.Ctx);
+  unsigned Holds = 0, Pairs = 0;
+  std::map<std::string, unsigned> Why; // failures by kind
+  for (unsigned Round = 0; Round < 400; ++Round) {
+    MemModel A = randomModel(W, P), B = randomModel(W, P);
+    A.HavocAll = W.R.chance(1, 10);
+    MemModel J = MemModel::join(A, B);
+    for (const auto &[X, Y] :
+         {std::pair<const MemModel *, const MemModel *>{&A, &J},
+          {&B, &J},
+          {&J, &A},
+          {&A, &B},
+          {&B, &A}}) {
+      std::string Text = expectLeqAgrees(W.Ctx, *X, *Y,
+                                         "round " + std::to_string(Round),
+                                         Holds);
+      ++Pairs;
+      for (const char *Kind : {"memory relation", "all of memory",
+                               "global memory", "written region"})
+        if (Text.find(Kind) != std::string::npos)
+          ++Why[Kind];
+    }
+  }
+  EXPECT_GT(Holds, Pairs / 10);
+  EXPECT_LT(Holds, Pairs - Pairs / 10);
+  EXPECT_EQ(Why.size(), 4u) << "every kind of failure explained";
 }
 
 TEST(LeqTrail, MatchesCopyingMatcherOnLiftedVertexStates) {

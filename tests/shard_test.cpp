@@ -139,7 +139,11 @@ TEST(ShardMerge, SerialOneAndManyShardsAreByteIdentical) {
   EXPECT_EQ(Serial.Exit, 1);
 
   for (unsigned N : {2u, 4u}) {
-    shard::ShardResult R = runFresh("n" + std::to_string(N), N);
+    std::string Dir = tmpPath("cache_n" + std::to_string(N));
+    fs::remove_all(Dir);
+    shard::ShardOptions O = baseOptions(Dir, N);
+    O.Progress = true; // progress writes stderr only; bytes must not move
+    shard::ShardResult R = shard::runShards(O);
     ASSERT_TRUE(R.Ok) << R.Error;
     EXPECT_GE(R.WorkersSpawned, std::min<size_t>(N, corpusOnDisk().size()));
     EXPECT_EQ(R.WorkersCrashed, 0u);
@@ -233,9 +237,9 @@ TEST(ShardSched, StaticAblationStealsNothingAndMatchesBytes) {
   EXPECT_EQ(R.MergedReport, Serial.MergedReport);
 }
 
-/// A symbol-rich shared object: enough exports that function granularity
-/// actually splits it into prewarm chunks.
-std::string prewarmLibrary() {
+/// A shared object with several exported functions, for the library-mode
+/// runs.
+std::string sharedLibrary() {
   corpus::GenOptions G;
   G.Seed = 11;
   G.NumFuncs = 9;
@@ -251,47 +255,13 @@ std::string prewarmLibrary() {
   return LibPath;
 }
 
-TEST(ShardSched, FunctionGranularityPrewarmsAndMatchesBytes) {
-  std::string LibPath = prewarmLibrary();
-
-  auto MakeOpts = [&](const std::string &Tag, unsigned Shards) {
-    std::string Dir = tmpPath("cache_fg_" + Tag);
-    fs::remove_all(Dir);
-    shard::ShardOptions O;
-    O.Binaries = {LibPath};
-    O.Shards = Shards;
-    O.Base.Cache.Dir = Dir;
-    O.Check = true;
-    O.Base.Library = true;
-    O.WorkerExe = HGLIFT_BIN;
-    return O;
-  };
-
-  shard::ShardResult Serial = shard::runShards(MakeOpts("serial", 1));
-  ASSERT_TRUE(Serial.Ok) << Serial.Error;
-
-  for (unsigned N : {1u, 2u}) {
-    shard::ShardOptions O = MakeOpts("n" + std::to_string(N), N);
-    O.Granularity = shard::StealGranularity::Function;
-    O.PrewarmChunk = 3;
-    shard::ShardResult R = shard::runShards(O);
-    ASSERT_TRUE(R.Ok) << R.Error;
-    EXPECT_GE(R.Sched.UnitsPrewarm, 2u)
-        << "library was not split into prewarm chunks";
-    EXPECT_EQ(R.Exit, Serial.Exit);
-    EXPECT_EQ(R.MergedReport, Serial.MergedReport)
-        << "function granularity perturbed the report (N=" << N << ")";
-  }
-}
-
-TEST(ShardCli, LiftingFlagsReachPrewarmAndLiftUnitsAlike) {
-  // `--no-vsa` through the CLI, with function granularity: the prewarm
-  // units and the lift unit must build one LiftConfig from one Options,
-  // so every store index ref names one config digest, and the merged
-  // report is the serial run's and the plain CLI's bytes. The library is
-  // given twice so two worker processes really run, on the argv the flag
-  // table renders for them.
-  std::string Lib = prewarmLibrary() + " " + prewarmLibrary();
+TEST(ShardCli, LiftingFlagsReachWorkers) {
+  // `--no-vsa` through the CLI: every worker must build its LiftConfig
+  // from the parent's Options, so every store index ref names one config
+  // digest, and the merged report is the serial run's and the plain
+  // CLI's bytes. The library is given twice so two worker processes
+  // really run, on the argv the flag table renders for them.
+  std::string Lib = sharedLibrary() + " " + sharedLibrary();
   std::string Dir = tmpPath("cache_cli_novsa"),
               SerialDir = tmpPath("cache_cli_novsa_serial");
   fs::remove_all(Dir);
@@ -301,12 +271,12 @@ TEST(ShardCli, LiftingFlagsReachPrewarmAndLiftUnitsAlike) {
               Serial = tmpPath("cli_novsa_serial.json"),
               Cli = tmpPath("cli_novsa_check.json");
   int Exit = runCli("shard " + Lib + " --cache-dir " + Dir + Flags + Merged +
-                    " --steal-granularity function --shards 2");
+                    " --shards 2");
   EXPECT_LE(Exit, 1);
   EXPECT_EQ(runCli("shard " + Lib + " --cache-dir " + SerialDir + Flags +
                    Serial + " --shards 1"),
             Exit);
-  EXPECT_EQ(runCli("check " + prewarmLibrary() + Flags + Cli), Exit);
+  EXPECT_EQ(runCli("check " + sharedLibrary() + Flags + Cli), Exit);
 
   // Index refs are named <entry>-<cfg>.ref; the in-process serial run
   // keys the store with the parent's own options.
@@ -318,8 +288,8 @@ TEST(ShardCli, LiftingFlagsReachPrewarmAndLiftUnitsAlike) {
     }
     return D;
   };
-  EXPECT_EQ(Digests(Dir).size(), 1u) << "prewarm and lift units keyed the "
-                                        "store under different configs";
+  EXPECT_EQ(Digests(Dir).size(), 1u) << "workers keyed the store under "
+                                        "different configs";
   EXPECT_EQ(Digests(Dir), Digests(SerialDir))
       << "workers lifted with other options than the parent";
 
@@ -331,40 +301,6 @@ TEST(ShardCli, LiftingFlagsReachPrewarmAndLiftUnitsAlike) {
   EXPECT_EQ(readFileStr(Merged),
             "{\"shard_schema_version\": 1, \"binaries\": [\n" + Frag +
                 ",\n" + Frag + "\n]}\n");
-}
-
-TEST(ShardSched, LedgerWarmsAcrossRunsWithoutPerturbingBytes) {
-  std::string Dir = tmpPath("cache_ledger");
-  fs::remove_all(Dir);
-
-  shard::ShardOptions O = baseOptions(Dir, 1);
-  O.Progress = true; // progress writes stderr only; bytes must not move
-  shard::ShardResult Cold = shard::runShards(O);
-  ASSERT_TRUE(Cold.Ok) << Cold.Error;
-  EXPECT_EQ(Cold.Sched.LedgerHits, 0u);
-  // Every readable binary's observed seconds get persisted.
-  EXPECT_GE(Cold.Sched.LedgerRecords, 3u);
-
-  shard::ShardResult Warm = shard::runShards(O);
-  ASSERT_TRUE(Warm.Ok) << Warm.Error;
-  EXPECT_GE(Warm.Sched.LedgerHits, 3u)
-      << "second run did not schedule from recorded costs";
-  EXPECT_EQ(Warm.MergedReport, Cold.MergedReport);
-
-  // A trashed ledger is a cold ledger, never an error: scribble over
-  // every record and the run must fall back to the heuristic with the
-  // same bytes.
-  size_t Scribbled = 0;
-  for (auto &E : fs::directory_iterator(Dir + "/ledger")) {
-    std::ofstream(E.path(), std::ios::trunc) << "hgcost 1 garbage";
-    ++Scribbled;
-  }
-  ASSERT_GT(Scribbled, 0u);
-  shard::ShardResult Corrupt = shard::runShards(O);
-  ASSERT_TRUE(Corrupt.Ok) << Corrupt.Error;
-  EXPECT_EQ(Corrupt.Sched.LedgerHits, 0u)
-      << "corrupt ledger records were trusted";
-  EXPECT_EQ(Corrupt.MergedReport, Cold.MergedReport);
 }
 
 TEST(ShardCache, PoisonedEntryDegradesToCleanMissAcrossProcesses) {

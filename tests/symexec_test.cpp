@@ -172,116 +172,88 @@ TEST(SymExecDifferential, SingleInstructionCoverage) {
 }
 
 TEST(SymExecDifferential, ConditionalBranchesBothWays) {
+  // The flags come from `cmp rdi, imm` or `test rdi, rdi` at every
+  // operand width: a signed condition on a narrow compare sign-extends
+  // both sides from that width, not from 64 bits.
+  enum class Form { CmpImm, TestSelf };
   Rng R(0xbb);
-  for (int Iter = 0; Iter < 300; ++Iter) {
-    ProgramBuilder PB("diffjcc");
-    Asm &A = PB.text();
-    Asm::Label F = A.newLabel(), T = A.newLabel();
-    static const Cond Conds[] = {Cond::E, Cond::NE, Cond::B,  Cond::AE,
-                                 Cond::BE, Cond::A, Cond::L,  Cond::GE,
-                                 Cond::LE, Cond::G};
-    Cond CC = Conds[R.below(std::size(Conds))];
-    int32_t K = static_cast<int32_t>(R.range(-100, 100));
-    A.bind(F);
-    A.cmpRI(Reg::RDI, K, 8);
-    A.jccL(CC, T);
-    A.movRI(Reg::RAX, 0, 8);
-    A.ret();
-    A.bind(T);
-    A.movRI(Reg::RAX, 1, 8);
-    A.ret();
-    auto BB = PB.build(F);
-    ASSERT_TRUE(BB.has_value());
+  for (Form Fm : {Form::CmpImm, Form::TestSelf})
+    for (unsigned Width : {1u, 2u, 4u, 8u})
+      for (int Iter = 0; Iter < 300; ++Iter) {
+        ProgramBuilder PB("diffjcc");
+        Asm &A = PB.text();
+        Asm::Label F = A.newLabel(), T = A.newLabel();
+        static const Cond Conds[] = {Cond::E,  Cond::NE, Cond::B, Cond::AE,
+                                     Cond::BE, Cond::A,  Cond::L, Cond::GE,
+                                     Cond::LE, Cond::G,  Cond::S, Cond::NS};
+        Cond CC = Conds[R.below(std::size(Conds))];
+        int32_t K = static_cast<int32_t>(R.range(-100, 100));
+        A.bind(F);
+        if (Fm == Form::CmpImm)
+          A.cmpRI(Reg::RDI, K, Width);
+        else
+          A.testRR(Reg::RDI, Reg::RDI, Width);
+        A.jccL(CC, T);
+        A.movRI(Reg::RAX, 0, 8);
+        A.ret();
+        A.bind(T);
+        A.movRI(Reg::RAX, 1, 8);
+        A.ret();
+        auto BB = PB.build(F);
+        ASSERT_TRUE(BB.has_value());
 
-    uint64_t Rdi = R.chance(1, 2)
-                       ? static_cast<uint64_t>(R.range(-110, 110))
-                       : R.next();
+        uint64_t Rdi = R.chance(1, 2)
+                           ? static_cast<uint64_t>(R.range(-110, 110))
+                           : R.next();
 
-    Machine M(BB->Img);
-    M.setupCall(BB->Img.Entry);
-    M.setReg(Reg::RDI, Rdi);
-    ASSERT_EQ(M.run(10), Machine::Status::Returned);
-    uint64_t Taken = M.reg(Reg::RAX);
+        Machine M(BB->Img);
+        M.setupCall(BB->Img.Entry);
+        M.setReg(Reg::RDI, Rdi);
+        ASSERT_EQ(M.run(10), Machine::Status::Returned);
+        uint64_t Taken = M.reg(Reg::RAX);
 
-    // Symbolic: lift the cmp, then the jcc; the branch whose clause admits
-    // the concrete rdi must lead the right way.
-    ExprContext Ctx;
-    smt::RelationSolver Solver(Ctx);
-    SymExec Exec(Ctx, Solver, BB->Img, sem::SymConfig());
-    const Expr *RetSym =
-        Ctx.mkVar(expr::VarClass::RetSym, "S_f", 64, BB->Img.Entry);
-    SymState S0;
-    S0.P = pred::Pred::entry(Ctx, RetSym);
-    size_t Avail;
-    const uint8_t *Bytes = BB->Img.bytesAt(BB->Img.Entry, Avail);
-    Instr CmpI = decodeInstr(Bytes, Avail, BB->Img.Entry);
-    StepOut O1 = Exec.step(S0, CmpI, RetSym);
-    ASSERT_EQ(O1.Succs.size(), 1u);
-    const uint8_t *B2 = BB->Img.bytesAt(CmpI.nextAddr(), Avail);
-    Instr JccI = decodeInstr(B2, Avail, CmpI.nextAddr());
-    ASSERT_EQ(JccI.Mn, Mnemonic::Jcc);
-    StepOut O2 = Exec.step(O1.Succs[0].S, JccI, RetSym);
+        // Symbolic: lift the flag setter, then the jcc; the branch whose
+        // clauses admit the concrete rdi must lead the right way.
+        ExprContext Ctx;
+        smt::RelationSolver Solver(Ctx);
+        SymExec Exec(Ctx, Solver, BB->Img, sem::SymConfig());
+        const Expr *RetSym =
+            Ctx.mkVar(expr::VarClass::RetSym, "S_f", 64, BB->Img.Entry);
+        SymState S0;
+        S0.P = pred::Pred::entry(Ctx, RetSym);
+        size_t Avail;
+        const uint8_t *Bytes = BB->Img.bytesAt(BB->Img.Entry, Avail);
+        Instr FlagI = decodeInstr(Bytes, Avail, BB->Img.Entry);
+        StepOut O1 = Exec.step(S0, FlagI, RetSym);
+        ASSERT_EQ(O1.Succs.size(), 1u);
+        const uint8_t *B2 = BB->Img.bytesAt(FlagI.nextAddr(), Avail);
+        Instr JccI = decodeInstr(B2, Avail, FlagI.nextAddr());
+        ASSERT_EQ(JccI.Mn, Mnemonic::Jcc);
+        StepOut O2 = Exec.step(O1.Succs[0].S, JccI, RetSym);
 
-    auto Vars = [&](uint32_t Id) -> uint64_t {
-      return Ctx.varInfo(Id).Name == "rdi0" ? Rdi : 0;
-    };
-    auto Mem = [](uint64_t, uint32_t) -> uint64_t { return 0; };
-    uint64_t WantRip = Taken ? static_cast<uint64_t>(JccI.Ops[0].Imm)
-                             : JccI.nextAddr();
-    bool Covered = false;
-    for (const Succ &S : O2.Succs) {
-      if (S.NextAddr != WantRip)
-        continue;
-      // The successor's range clauses must hold for the concrete rdi.
-      bool ClausesOK = true;
-      for (const pred::RangeClause &C : S.S.P.ranges()) {
-        auto V = expr::evalExpr(C.E, Vars, Mem);
-        if (!V) {
-          ClausesOK = false;
-          break;
+        auto Vars = [&](uint32_t Id) -> uint64_t {
+          return Ctx.varInfo(Id).Name == "rdi0" ? Rdi : 0;
+        };
+        auto Mem = [](uint64_t, uint32_t) -> uint64_t { return 0; };
+        uint64_t WantRip = Taken ? static_cast<uint64_t>(JccI.Ops[0].Imm)
+                                 : JccI.nextAddr();
+        bool Covered = false;
+        for (const Succ &S : O2.Succs) {
+          if (S.NextAddr != WantRip)
+            continue;
+          // The successor's range clauses must hold for the concrete rdi.
+          bool ClausesOK = true;
+          for (const pred::RangeClause &C : S.S.P.ranges()) {
+            auto V = expr::evalExpr(C.E, Vars, Mem);
+            ClausesOK &= V && pred::relHolds(C.Op, *V, C.Bound);
+          }
+          Covered |= ClausesOK;
         }
-        // reuse Pred::holds by building a tiny predicate? simpler: trust
-        // intervalOf? Direct check:
-        int64_t SV = static_cast<int64_t>(*V);
-        int64_t SB = static_cast<int64_t>(C.Bound);
-        switch (C.Op) {
-        case pred::RelOp::Eq:
-          ClausesOK &= *V == C.Bound;
-          break;
-        case pred::RelOp::Ne:
-          ClausesOK &= *V != C.Bound;
-          break;
-        case pred::RelOp::ULt:
-          ClausesOK &= *V < C.Bound;
-          break;
-        case pred::RelOp::ULe:
-          ClausesOK &= *V <= C.Bound;
-          break;
-        case pred::RelOp::UGe:
-          ClausesOK &= *V >= C.Bound;
-          break;
-        case pred::RelOp::UGt:
-          ClausesOK &= *V > C.Bound;
-          break;
-        case pred::RelOp::SLt:
-          ClausesOK &= SV < SB;
-          break;
-        case pred::RelOp::SLe:
-          ClausesOK &= SV <= SB;
-          break;
-        case pred::RelOp::SGe:
-          ClausesOK &= SV >= SB;
-          break;
-        case pred::RelOp::SGt:
-          ClausesOK &= SV > SB;
-          break;
-        }
+        EXPECT_TRUE(Covered)
+            << (Fm == Form::CmpImm ? "cmp" : "test") << " width " << Width
+            << " cond " << condName(CC) << " K=" << K << " rdi=" << Rdi
+            << " taken=" << Taken;
       }
-      Covered |= ClausesOK;
-    }
-    EXPECT_TRUE(Covered) << "cond " << condName(CC) << " K=" << K
-                         << " rdi=" << Rdi << " taken=" << Taken;
-  }
 }
 
 } // namespace
