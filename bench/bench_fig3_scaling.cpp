@@ -75,7 +75,7 @@ int main(int argc, char **argv) {
       for (const elf::Symbol &Sym : BB->Img.Functions)
         IsRoot |= Sym.Addr == F.Entry;
       if (IsRoot)
-        Points.push_back({F.numInstructions(), F.Seconds});
+        Points.push_back({F.numInstructions(), F.Stats.Seconds});
     }
   }
 

@@ -96,15 +96,6 @@ struct PassResult {
   std::vector<std::string> Reports;
 };
 
-void accumulate(store::CacheStats &Into, const store::CacheStats &S) {
-  Into.Hits += S.Hits;
-  Into.Misses += S.Misses;
-  Into.Stored += S.Stored;
-  Into.Validated += S.Validated;
-  Into.ValidationFailures += S.ValidationFailures;
-  Into.Evictions += S.Evictions;
-}
-
 /// One full pass over the corpus — lift, check, render the report — the
 /// whole edit-loop turnaround the store is meant to shorten. Each binary
 /// gets its own cache subdirectory: index refs are keyed by (function
@@ -126,7 +117,7 @@ PassResult runPass(const std::vector<CorpusItem> &Items,
     S.writeReportJson(OS);
     P.Reports.push_back(OS.str());
     if (auto CS = S.cacheStats())
-      accumulate(P.Stats, *CS);
+      P.Stats += *CS;
   }
   P.Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)

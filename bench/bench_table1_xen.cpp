@@ -86,7 +86,7 @@ struct RowStats {
       B += F.UnresolvedJumps;
       C += F.UnresolvedCalls;
     }
-    Seconds += F.Seconds;
+    Seconds += F.Stats.Seconds;
   }
 };
 

@@ -46,8 +46,7 @@ int main() {
     exporter::IsabelleOptions IOpts;
     IOpts.TheoryName = E.Name + "_hg";
     size_t Lemmas = 0;
-    std::string Thy =
-        exporter::exportBinary(S.scratchContext(), R, IOpts, &Lemmas);
+    std::string Thy = exporter::exportBinary(R, IOpts, &Lemmas);
     static_cast<void>(Thy);
 
     std::printf("%-10s %12s %14s %14u %10u %10zu %7zu%s\n", E.Name.c_str(),

@@ -40,8 +40,7 @@ int main(int argc, char **argv) {
   exporter::IsabelleOptions Opts;
   Opts.TheoryName = "call_chain_hg";
   size_t Lemmas = 0;
-  std::string Thy =
-      exporter::exportBinary(S.scratchContext(), R, Opts, &Lemmas);
+  std::string Thy = exporter::exportBinary(R, Opts, &Lemmas);
 
   std::string Path = argc > 1 ? argv[1] : "/tmp/call_chain_hg.thy";
   std::ofstream(Path) << Thy;

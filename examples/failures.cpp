@@ -31,7 +31,7 @@ int show(const char *Title, std::optional<corpus::BuiltBinary> BB,
   }
   hg::Lifter L(BB->Img, hg::LiftConfig());
   hg::BinaryResult R = L.liftBinary();
-  driver::printBinaryReport(std::cout, R, L.exprContext());
+  driver::printBinaryReport(std::cout, R);
   std::cout << "\n";
   return (R.Outcome == hg::LiftOutcome::Lifted) == ExpectLifted ? 0 : 1;
 }

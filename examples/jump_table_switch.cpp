@@ -25,7 +25,7 @@ int main() {
     return 1;
   hg::Lifter L(BB->Img, hg::LiftConfig());
   hg::BinaryResult R = L.liftBinary();
-  driver::printBinaryReport(std::cout, R, L.exprContext());
+  driver::printBinaryReport(std::cout, R);
 
   // The indirect jmp's outgoing edges: one per read table value (§2).
   for (const hg::FunctionResult &F : R.Functions)
@@ -50,7 +50,7 @@ int main() {
     return 1;
   hg::Lifter L2(Bad->Img, hg::LiftConfig());
   hg::BinaryResult R2 = L2.liftBinary();
-  driver::printBinaryReport(std::cout, R2, L2.exprContext());
+  driver::printBinaryReport(std::cout, R2);
   std::cout << "\n(lifting refused: the write may clobber the return "
                "address, so no sound HG exists without annotations)\n";
 

@@ -47,10 +47,10 @@ int main(int argc, char **argv) {
 
   // 3. Inspect the result: outcome, statistics, and the Hoare Graph with
   //    one invariant per symbolic state.
-  driver::printBinaryReport(std::cout, R, L.exprContext());
+  driver::printBinaryReport(std::cout, R);
   std::cout << "\n";
   for (const hg::FunctionResult &F : R.Functions)
-    driver::printHoareGraph(std::cout, F, L.exprContext());
+    driver::printHoareGraph(std::cout, F);
 
   return R.Outcome == hg::LiftOutcome::Lifted ? 0 : 1;
 }

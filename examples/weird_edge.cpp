@@ -29,7 +29,7 @@ int main() {
 
   hg::Lifter L(BB->Img, hg::LiftConfig());
   hg::BinaryResult R = L.liftBinary();
-  driver::printBinaryReport(std::cout, R, L.exprContext());
+  driver::printBinaryReport(std::cout, R);
 
   std::cout << "\n--- weird edges in the Hoare Graph ---\n";
   uint64_t WeirdTarget = 0;

@@ -14,12 +14,12 @@
 //
 // Cache semantics: when Cache.Dir is set, lifts consult the content-
 // addressed store (store/Store.h). Hits skip Algorithm 1 but are re-proven
-// through the Step-2 checker before being returned (unless Cache.Validate
-// is explicitly turned off), so a warm run makes exactly the same
-// soundness claim as a cold one. check() reuses those hit-time proofs
-// instead of proving the same edges twice; because every reused result was
-// fully proven, a warm check() is byte-for-byte identical to a cold one in
-// the report, and substantially faster.
+// through the Step-2 checker before being returned, so a warm run makes
+// exactly the same soundness claim as a cold one. Each hit carries its
+// proof's theorem count, which check() counts instead of proving the same
+// edges twice; because every hit was fully proven, a warm check() is
+// byte-for-byte identical to a cold one in the report, and substantially
+// faster.
 //
 // A Session is single-owner and not thread-safe; internal lifting/checking
 // parallelism is controlled by Options::Lift.Threads as usual.
@@ -50,8 +50,8 @@ namespace hglift {
 /// every subcommand (driver/Flags.h).
 struct Options {
   /// Step-1 configuration (threads, fuel, ablations, VSA in Lift.Sym,
-  /// ...). Options::Lift.Cache is managed by the Session when Cache.Dir is
-  /// set; leave it null. Step 2 checks with the same Lift.Sym.
+  /// ...). The Session sets Options::Lift.Cache from Cache; leave it
+  /// null. Step 2 checks with the same Lift.Sym.
   hg::LiftConfig Lift;
   /// Lift every exported function symbol instead of following calls from
   /// the ELF entry point (shared-object mode, paper §5.1).
@@ -66,26 +66,18 @@ struct Options {
     /// limit). Exceeding it after a store evicts least-recently-used
     /// entries.
     uint64_t MaxMB = 0;
-    /// Re-prove every cache hit through the Step-2 checker before using
-    /// it (the default, and the soundness story). Turning this off trusts
-    /// the stored graphs and is only defensible for throwaway exploration.
-    bool Validate = true;
     /// Use this already-open store instead of constructing one from Dir
     /// (which is then ignored). Non-owning; must outlive the Session.
     /// This is how a long-lived host — the `hglift serve` daemon — keeps
-    /// one warm store per worker thread across many Sessions: the
-    /// counters accumulate a cross-request picture and the directory
-    /// handle stays hot. Sharing is *sequential* per instance (one
-    /// Session at a time); concurrent Sessions should each use their own
-    /// instance over the same directory, which the on-disk format makes
-    /// safe. The Session clears pending hit-time validations at
-    /// construction (CacheStore::resetValidations) so a previous binary's
-    /// proofs can never be merged into this one's report.
+    /// one warm store across many Sessions: the counters accumulate a
+    /// cross-request picture. Any number of Sessions, concurrent ones
+    /// included, may share one instance: every hit carries its own proof,
+    /// so nothing of one Session's lookups reaches another's report.
     store::CacheStore *Shared = nullptr;
 
-    /// The store configuration Dir, MaxMB and Validate describe.
+    /// The store configuration Dir and MaxMB describe.
     store::CacheStore::Options storeOptions() const {
-      return {Dir, MaxMB * 1024 * 1024, Validate};
+      return {Dir, MaxMB * 1024 * 1024};
     }
     bool operator==(const CacheOptions &) const = default;
   };
@@ -126,10 +118,10 @@ public:
   const hg::BinaryResult &lift();
 
   /// Run Step 2 over the lifted result (lifting first if needed): one
-  /// theorem per Hoare Graph edge. Cache hits that were already re-proven
-  /// at lookup time are not proven again — their hit-time CheckResults are
-  /// merged in, in function-entry order, which keeps warm output identical
-  /// to cold. Memoized.
+  /// theorem per Hoare Graph edge, over Options::Lift.Threads workers.
+  /// Cache hits, already re-proven at lookup, are counted rather than
+  /// proven again (exporter::checkBinary), which keeps warm output
+  /// identical to cold. Memoized.
   const exporter::CheckResult &check();
 
   /// The run's exit code (driver/ExitCode.h): Ok iff the binary lifted
@@ -165,22 +157,17 @@ public:
     return HasWitnesses ? &Witnesses : nullptr;
   }
 
-  /// Scratch expression context for exporters that render results (NOT
-  /// the context lifted expressions live in — each FunctionResult carries
-  /// its own arena).
-  expr::ExprContext &scratchContext();
-
   const elf::BinaryImage &image() const { return Img; }
   const Options &options() const { return Opt; }
   /// Store counters (hits, misses, validations, evictions), or nullopt
-  /// when no CacheDir was configured.
+  /// when no store was configured.
   std::optional<store::CacheStats> cacheStats() const;
 
 private:
   const elf::BinaryImage &Img;
   Options Opt;
   std::unique_ptr<store::CacheStore> Cache; ///< owned; null when none or shared
-  store::CacheStore *CacheRef = nullptr;    ///< owned or Options::SharedCache
+  store::CacheStore *CacheRef = nullptr;    ///< owned or Options::Cache.Shared
   std::unique_ptr<hg::Lifter> Lifter;
 
   bool Lifted = false;

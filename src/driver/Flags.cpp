@@ -167,8 +167,6 @@ const std::vector<Flag> &flagTable() {
             "artifact store; hits are re-proven (shard: required)"),
       value("--cache-max-mb", "N", Lifting, OPT(Cache.MaxMB),
             "store budget in MiB (default 0 = no limit)", 0, U64 >> 20),
-      toggle("--no-cache-validate", Lifting, OPT(Cache.Validate), false,
-             "trust store hits without Step-2 re-proof"),
       toggle("--no-join", Lifting, OPT(Lift.EnableJoin), false,
              "ablation: disable state joining"),
       toggle("--destroy-always", Lifting, OPT(Lift.Sym.Policy),

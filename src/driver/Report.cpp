@@ -14,9 +14,8 @@ using hg::Edge;
 using hg::FunctionResult;
 using hglift::LiftStats;
 
-void printHoareGraph(std::ostream &OS, const FunctionResult &F,
-                     const expr::ExprContext &FallbackCtx) {
-  const expr::ExprContext &Ctx = F.ctxOr(FallbackCtx);
+void printHoareGraph(std::ostream &OS, const FunctionResult &F) {
+  const expr::ExprContext &Ctx = F.ctx();
   OS << "function " << hexStr(F.Entry) << " ("
      << hg::liftOutcomeName(F.Outcome) << "), " << F.Graph.numStates()
      << " states, " << F.Graph.edges().size() << " edges\n";
@@ -53,7 +52,7 @@ void printHoareGraph(std::ostream &OS, const FunctionResult &F,
 }
 
 void printBinaryReport(std::ostream &OS, const BinaryResult &R,
-                       const expr::ExprContext &Ctx, bool Verbose) {
+                       bool Verbose) {
   OS << "binary: " << R.Name << "\n";
   OS << "outcome: " << hg::liftOutcomeName(R.Outcome);
   if (!R.FailReason.empty())
@@ -86,7 +85,7 @@ void printBinaryReport(std::ostream &OS, const BinaryResult &R,
 
   if (Verbose)
     for (const FunctionResult &F : R.Functions)
-      printHoareGraph(OS, F, Ctx);
+      printHoareGraph(OS, F);
 }
 
 namespace {
@@ -99,30 +98,17 @@ std::string jsonNum(double D) {
   return Buf;
 }
 
+void writeStatsValue(std::ostream &OS, uint64_t V) { OS << V; }
+void writeStatsValue(std::ostream &OS, double V) { OS << jsonNum(V); }
+
 void writeStatsFields(std::ostream &OS, const LiftStats &S) {
-  OS << "\"vertices\": " << S.Vertices << ", \"joins\": " << S.Joins
-     << ", \"widenings\": " << S.Widenings << ", \"steps\": " << S.Steps
-     << ", \"forks\": " << S.Forks
-     << ", \"solver_queries\": " << S.SolverQueries
-     << ", \"z3_queries\": " << S.Z3Queries
-     << ", \"solver_tier0_hits\": " << S.SolverTier0Hits
-     << ", \"solver_tier1_hits\": " << S.SolverTier1Hits
-     << ", \"solver_class_hits\": " << S.SolverClassHits
-     << ", \"solver_tier2_hits\": " << S.SolverTier2Hits
-     << ", \"solver_tier2_skipped\": " << S.SolverTier2Skipped
-     << ", \"solver_fallthroughs\": " << S.SolverFallthroughs
-     << ", \"solver_seconds\": " << jsonNum(S.SolverSeconds)
-     << ", \"rel_cache_hits\": " << S.RelCacheHits
-     << ", \"rel_cache_misses\": " << S.RelCacheMisses
-     << ", \"rel_cache_invalidated\": " << S.RelCacheInvalidated
-     << ", \"rel_cache_evicted\": " << S.RelCacheEvicted
-     << ", \"leq_hits\": " << S.LeqHits
-     << ", \"leq_misses\": " << S.LeqMisses
-     << ", \"vsa_queries\": " << S.VsaQueries
-     << ", \"vsa_resolved\": " << S.VsaResolved
-     << ", \"vsa_targets\": " << S.VsaTargets
-     << ", \"vsa_restarts\": " << S.VsaRestarts
-     << ", \"seconds\": " << jsonNum(S.Seconds);
+  const char *Sep = "";
+#define HGLIFT_STATS_JSON(Type, Member, Name)                                  \
+  OS << Sep << "\"" Name "\": ";                                              \
+  writeStatsValue(OS, S.Member);                                               \
+  Sep = ", ";
+  HGLIFT_LIFT_STATS(HGLIFT_STATS_JSON)
+#undef HGLIFT_STATS_JSON
 }
 
 /// One structured diagnostic as a report-JSON object. Provenance worker

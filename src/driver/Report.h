@@ -15,13 +15,11 @@ namespace hglift::driver {
 /// Print the per-binary report: outcome, statistics (the Table 1 columns),
 /// lift-stats totals, annotations, obligations, weird edges.
 void printBinaryReport(std::ostream &OS, const hg::BinaryResult &R,
-                       const expr::ExprContext &Ctx, bool Verbose = false);
+                       bool Verbose = false);
 
 /// Print a function's Hoare Graph: vertices with invariants, edges with
-/// instructions (the Figure 1 view). Ctx is only a fallback for hand-built
-/// results; lifter-produced functions print in their own arena context.
-void printHoareGraph(std::ostream &OS, const hg::FunctionResult &F,
-                     const expr::ExprContext &Ctx);
+/// instructions (the Figure 1 view).
+void printHoareGraph(std::ostream &OS, const hg::FunctionResult &F);
 
 /// Emit the lifting statistics as JSON (the --stats-json payload): binary
 /// outcome, aggregate totals, and one record per function with vertices,

@@ -170,15 +170,14 @@ int liftMain(const CommandLine &CL) {
     exporter::IsabelleOptions Opts;
     Opts.TheoryName = R.Name.empty() ? "lifted_binary" : R.Name;
     size_t Lemmas = 0;
-    std::string Thy =
-        exporter::exportBinary(S.scratchContext(), R, Opts, &Lemmas);
+    std::string Thy = exporter::exportBinary(R, Opts, &Lemmas);
     if (!writeArtifact(CL.IsabelleOut,
                        std::to_string(Lemmas) + " Hoare-triple lemmas",
                        [&](std::ostream &OS) { OS << Thy; }))
       return toExit(ExitCode::Io);
   }
   if (!writeArtifact(CL.DotOut, "Graphviz graph", [&](std::ostream &OS) {
-        OS << exporter::exportDotBinary(S.scratchContext(), R);
+        OS << exporter::exportDotBinary(R);
       }))
     return toExit(ExitCode::Io);
   return toExit(S.verdict(CL.Check));

@@ -27,9 +27,8 @@ std::string escape(const std::string &S) {
   return Out;
 }
 
-void emitFunction(std::string &Out, const expr::ExprContext &Ctx,
-                  const FunctionResult &F, const DotOptions &Opts,
-                  const std::string &Prefix) {
+void emitFunction(std::string &Out, const FunctionResult &F,
+                  const DotOptions &Opts, const std::string &Prefix) {
   std::map<VertexKey, std::string> Name;
   unsigned N = 0;
   for (const auto &[Key, V] : F.Graph.Vertices)
@@ -46,7 +45,7 @@ void emitFunction(std::string &Out, const expr::ExprContext &Ctx,
     if (V.Instr.isValid())
       Label += ": " + V.Instr.str();
     if (Opts.ShowInvariants) {
-      std::string P = V.State.P.str(Ctx);
+      std::string P = V.State.P.str(F.ctx());
       if (!P.empty())
         Label += "\n" + P;
     }
@@ -101,17 +100,15 @@ void emitFunction(std::string &Out, const expr::ExprContext &Ctx,
 
 } // namespace
 
-std::string exportDot(const expr::ExprContext &Ctx, const FunctionResult &F,
-                      const DotOptions &Opts) {
+std::string exportDot(const FunctionResult &F, const DotOptions &Opts) {
   std::string Out = "digraph hg_" + hexStr(F.Entry).substr(2) + " {\n";
   Out += "  rankdir=TB;\n  fontname=monospace;\n";
-  emitFunction(Out, F.ctxOr(Ctx), F, Opts, "");
+  emitFunction(Out, F, Opts, "");
   Out += "}\n";
   return Out;
 }
 
-std::string exportDotBinary(const expr::ExprContext &Ctx,
-                            const hg::BinaryResult &B,
+std::string exportDotBinary(const hg::BinaryResult &B,
                             const DotOptions &Opts) {
   std::string Out = "digraph hg {\n  rankdir=TB;\n  fontname=monospace;\n";
   unsigned N = 0;
@@ -121,7 +118,7 @@ std::string exportDotBinary(const expr::ExprContext &Ctx,
     std::string Prefix = "f" + std::to_string(N++) + "_";
     Out += "  subgraph cluster_" + Prefix + " {\n";
     Out += "    label=\"" + hexStr(F.Entry) + "\";\n";
-    emitFunction(Out, F.ctxOr(Ctx), F, Opts, Prefix);
+    emitFunction(Out, F, Opts, Prefix);
     Out += "  }\n";
   }
   Out += "}\n";

@@ -21,13 +21,11 @@ struct DotOptions {
   bool ShowInvariants = false;
 };
 
-std::string exportDot(const expr::ExprContext &Ctx,
-                      const hg::FunctionResult &F,
+std::string exportDot(const hg::FunctionResult &F,
                       const DotOptions &Opts = DotOptions());
 
 /// All functions of a binary in one digraph (clustered per function).
-std::string exportDotBinary(const expr::ExprContext &Ctx,
-                            const hg::BinaryResult &B,
+std::string exportDotBinary(const hg::BinaryResult &B,
                             const DotOptions &Opts = DotOptions());
 
 } // namespace hglift::exporter

@@ -88,15 +88,22 @@ UncoveredWhy explainUncovered(const HoareGraph &G, const VertexKey &From,
   return W;
 }
 
-/// The per-function check body, over a caller-chosen executor and its
-/// solver. Everything it touches — Exec, F's arena, the memo — is private
-/// to one task, which is what licenses the parallel fan-out in
-/// checkBinary().
-CheckResult checkFunctionWith(SymExec &Exec, smt::RelationSolver &Solver,
-                              const FunctionResult &F) {
+} // namespace
+
+CheckResult checkFunction(const CheckContext &C, const FunctionResult &F) {
   CheckResult R;
+  if (F.Outcome != hg::LiftOutcome::Lifted)
+    return R;
+  // Check inside the function's own arena: every expression in F.Graph is
+  // interned there, and the re-derived successors must live in the same
+  // context for entailment to be meaningful. A task-local executor shares
+  // the semantics but none of Algorithm 1's state. Everything touched here
+  // — the executor, F's arena, the memo — is private to one function,
+  // which is what licenses the parallel fan-out in checkBinary().
+  smt::RelationSolver &Solver = F.Arena->solver();
+  SymExec Exec(F.Arena->ctx(), Solver, C.Img, C.Sym);
   hg::StateLeqMemo Memo;
-  const expr::ExprContext &Ctx = Exec.exprContext();
+  const expr::ExprContext &Ctx = F.ctx();
   diag::TraceContext::FunctionScope TraceFn(F.Entry);
 
   if (diag::Tracer *T = diag::Tracer::active()) {
@@ -202,66 +209,35 @@ CheckResult checkFunctionWith(SymExec &Exec, smt::RelationSolver &Solver,
   return R;
 }
 
-} // namespace
-
-CheckResult checkFunction(const CheckContext &C, const FunctionResult &F) {
-  if (F.Outcome != hg::LiftOutcome::Lifted)
-    return CheckResult();
-
-  // Check inside the function's own arena: every expression in F.Graph is
-  // interned there, and the re-derived successors must live in the same
-  // context for entailment to be meaningful. A task-local executor shares
-  // the semantics but none of Algorithm 1's state. (Hand-built results
-  // without an arena fall back to the caller-provided fallback arena —
-  // their expressions live in its context.)
-  if (F.Arena) {
-    SymExec Exec(F.Arena->ctx(), F.Arena->solver(), C.Img, C.Sym);
-    return checkFunctionWith(Exec, F.Arena->solver(), F);
-  }
-  if (!C.Fallback)
-    return CheckResult();
-  SymExec Fallback(C.Fallback->ctx(), C.Fallback->solver(), C.Img, C.Sym);
-  return checkFunctionWith(Fallback, C.Fallback->solver(), F);
-}
-
 CheckResult checkBinary(const CheckContext &C, const hg::BinaryResult &B,
                         unsigned Threads) {
+  // Counting a hit's re-proof instead of repeating it also keeps its
+  // arena's fresh-variable counter where a cold run's would be, so warm
+  // and cold output stay byte-identical.
+  auto checkOne = [&C](const FunctionResult &F) {
+    if (!F.Reproven)
+      return checkFunction(C, F);
+    CheckResult R;
+    R.Theorems = R.Proven = *F.Reproven;
+    return R;
+  };
   unsigned NThreads =
       Threads == 0 ? ThreadPool::defaultThreads() : Threads;
-  if (NThreads <= 1 || B.Functions.size() <= 1) {
-    CheckResult R;
-    for (const FunctionResult &F : B.Functions)
-      R.merge(checkFunction(C, F));
-    return R;
-  }
-
-  // One task per arena-ful function: each re-checks entirely inside that
-  // function's own arena, so nothing is shared between workers. Arena-less
-  // functions (hand-built in tests) would all share the fallback arena's
-  // context and are kept on this thread. Per-function results land in a
-  // slot vector and merge in function order, so the outcome — including
-  // the order of Failures — is identical to the serial check.
+  // Per-function results land in a slot vector and merge in function
+  // order, so the outcome — including the order of Failures — is the
+  // same for every thread count.
   std::vector<CheckResult> Slots(B.Functions.size());
-  {
+  if (NThreads <= 1 || B.Functions.size() <= 1) {
+    for (size_t I = 0; I < B.Functions.size(); ++I)
+      Slots[I] = checkOne(B.Functions[I]);
+  } else {
     ThreadPool Pool(NThreads);
-    for (size_t I = 0; I < B.Functions.size(); ++I) {
-      const FunctionResult &F = B.Functions[I];
-      if (!F.Arena || F.Outcome != hg::LiftOutcome::Lifted)
-        continue;
-      CheckResult *Slot = &Slots[I];
-      Pool.submit([&C, &F, Slot] {
-        SymExec Exec(F.Arena->ctx(), F.Arena->solver(), C.Img, C.Sym);
-        *Slot = checkFunctionWith(Exec, F.Arena->solver(), F);
+    for (size_t I = 0; I < B.Functions.size(); ++I)
+      Pool.submit([&checkOne, &B, &Slots, I] {
+        Slots[I] = checkOne(B.Functions[I]);
       });
-    }
     Pool.waitIdle();
   }
-  for (size_t I = 0; I < B.Functions.size(); ++I) {
-    const FunctionResult &F = B.Functions[I];
-    if (!F.Arena && F.Outcome == hg::LiftOutcome::Lifted)
-      Slots[I] = checkFunction(C, B.Functions[I]);
-  }
-
   CheckResult R;
   for (CheckResult &S : Slots)
     R.merge(S);

@@ -60,19 +60,16 @@ struct CheckResult {
 struct CheckContext {
   const elf::BinaryImage &Img;
   sem::SymConfig Sym;
-  /// Context + solver for functions without their own arena (hand-built
-  /// results in tests whose expressions live in a caller-owned context).
-  /// Arena-less functions are skipped when this is null.
-  hg::LiftArena *Fallback = nullptr;
 };
 
-/// Re-verify every edge of one lifted function.
+/// Re-verify every edge of one lifted function, inside its own arena.
 CheckResult checkFunction(const CheckContext &C, const hg::FunctionResult &F);
 
-/// Re-verify every function of a lifted binary. Threads: 1 = serial in the
-/// calling thread, 0 = hardware concurrency, N = N workers. Functions
-/// without an arena (hand-built in tests) are always checked serially;
-/// results are identical for every thread count.
+/// Re-verify every function of a lifted binary. A store hit (Reproven
+/// set) was already proven at lookup, so its theorems are counted, not
+/// proven again. Threads: 1 = serial in the calling thread, 0 = hardware
+/// concurrency, N = N workers; results are identical for every thread
+/// count.
 CheckResult checkBinary(const CheckContext &C, const hg::BinaryResult &B,
                         unsigned Threads = 1);
 

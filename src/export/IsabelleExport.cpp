@@ -182,11 +182,8 @@ std::string isabellePred(const ExprContext &Ctx, const pred::Pred &P) {
   return S;
 }
 
-std::string exportFunction(const ExprContext &Ctx, const FunctionResult &F,
+std::string exportFunction(const FunctionResult &F,
                            const IsabelleOptions &Opts) {
-  // Lifted results carry their own arena; the parameter is only a fallback
-  // for hand-built graphs.
-  const ExprContext &FCtx = F.ctxOr(Ctx);
   std::string Out;
   std::string FName = "f_" + hexStr(F.Entry).substr(2);
 
@@ -200,7 +197,7 @@ std::string exportFunction(const ExprContext &Ctx, const FunctionResult &F,
     VName[Key] = Name;
     Out += "definition " + Name + " :: \"state \\<Rightarrow> bool\" where\n";
     Out += "  \"" + Name + " \\<sigma> \\<equiv>\n     " +
-           isabellePred(FCtx, V.State.P) + "\"\n\n";
+           isabellePred(F.ctx(), V.State.P) + "\"\n\n";
   }
 
   // One lemma per edge: {P_from} instr {P_to}.
@@ -238,7 +235,7 @@ std::string exportFunction(const ExprContext &Ctx, const FunctionResult &F,
   return Out;
 }
 
-std::string exportBinary(const ExprContext &Ctx, const hg::BinaryResult &B,
+std::string exportBinary(const hg::BinaryResult &B,
                          const IsabelleOptions &Opts, size_t *NumLemmas) {
   std::string Out;
   Out += "theory " + sanitize(Opts.TheoryName) + "\n";
@@ -253,7 +250,7 @@ std::string exportBinary(const ExprContext &Ctx, const hg::BinaryResult &B,
     if (F.Outcome != hg::LiftOutcome::Lifted)
       continue;
     Out += "section \\<open>function at " + hexStr(F.Entry) + "\\<close>\n\n";
-    Out += exportFunction(Ctx, F, Opts);
+    Out += exportFunction(F, Opts);
     Lemmas += F.Graph.edges().size();
   }
 

@@ -26,15 +26,13 @@ struct IsabelleOptions {
 };
 
 /// Render one function's HG as a theory.
-std::string exportFunction(const expr::ExprContext &Ctx,
-                           const hg::FunctionResult &F,
+std::string exportFunction(const hg::FunctionResult &F,
                            const IsabelleOptions &Opts);
 
 /// Render a whole binary (one theory; sections per function). Returns the
 /// theory text and fills NumLemmas with the number of emitted Hoare-triple
 /// lemmas.
-std::string exportBinary(const expr::ExprContext &Ctx,
-                         const hg::BinaryResult &B,
+std::string exportBinary(const hg::BinaryResult &B,
                          const IsabelleOptions &Opts,
                          size_t *NumLemmas = nullptr);
 

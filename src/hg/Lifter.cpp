@@ -99,20 +99,6 @@ LiftArena::~LiftArena() = default;
 Lifter::Lifter(const elf::BinaryImage &Img, LiftConfig Cfg)
     : Img(Img), Cfg(Cfg) {}
 
-Lifter::~Lifter() = default;
-
-expr::ExprContext &Lifter::exprContext() {
-  if (!Scratch)
-    Scratch = std::make_shared<LiftArena>(Img, Cfg);
-  return Scratch->ctx();
-}
-
-smt::RelationSolver &Lifter::solver() {
-  if (!Scratch)
-    Scratch = std::make_shared<LiftArena>(Img, Cfg);
-  return Scratch->solver();
-}
-
 uint64_t Lifter::ctrlHash(const SymState &S) const {
   if (!Cfg.CtrlImmediateException)
     return 0;
@@ -154,8 +140,8 @@ FunctionCache::~FunctionCache() = default;
 
 FunctionResult Lifter::liftFunction(uint64_t Entry) {
   // Single chokepoint for both the serial and the parallel engine: a
-  // cache hit skips the Step-1 fixpoint entirely (the cache re-validated
-  // it through Step-2); a miss lifts and populates the store. Only fully
+  // cache hit skips the Step-1 fixpoint entirely (the cache re-proved it
+  // through Step 2); a miss lifts and populates the store. Only fully
   // lifted results are offered — failures are cheap to reproduce.
   if (Cfg.Cache)
     if (std::optional<FunctionResult> Hit = Cfg.Cache->lookup(Img, Cfg, Entry))
@@ -298,8 +284,7 @@ FunctionResult Lifter::liftUncached(uint64_t Entry) {
                      });
     for (diag::Diagnostic &D : FR.Diags)
       D.Prov.FunctionEntry = Entry;
-    FR.Seconds = Elapsed();
-    FR.Stats.Seconds = FR.Seconds;
+    FR.Stats.Seconds = Elapsed();
     // FR is about to move out of this frame; the arena must not keep sinks
     // into it (consumers may re-run the arena's executor, e.g. HoareChecker).
     Exec.setStats(nullptr);
@@ -320,7 +305,7 @@ FunctionResult Lifter::liftUncached(uint64_t Entry) {
       E.field("leq_hits", FR.Stats.LeqHits);
       E.field("leq_misses", FR.Stats.LeqMisses);
       E.field("diags", static_cast<uint64_t>(FR.Diags.size()));
-      E.field("seconds", FR.Seconds);
+      E.field("seconds", FR.Stats.Seconds);
       T->emit(std::move(E));
     }
   };

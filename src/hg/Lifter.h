@@ -72,7 +72,7 @@ struct LiftConfig {
   /// liftFunction() before running Algorithm 1 and populated after every
   /// successful lift. Non-owning; must be thread-safe when Threads > 1.
   /// Not part of the result semantics: a correct cache is observably
-  /// invisible (hits are Step-2-revalidated by the implementation).
+  /// invisible (every hit is re-proven through Step 2 at lookup).
   FunctionCache *Cache = nullptr;
   bool operator==(const LiftConfig &) const = default;
 };
@@ -121,23 +121,22 @@ struct FunctionResult {
   /// any thread count.
   std::vector<diag::Diagnostic> Diags;
   std::set<uint64_t> Callees;
-  /// Wall time of the lift, from arena construction through the
-  /// weird-edge pass.
-  double Seconds = 0;
-  /// What Algorithm 1 did here (vertices, joins, solver calls, ...).
+  /// What Algorithm 1 did here (vertices, joins, solver calls, ...);
+  /// Stats.Seconds is the lift's wall time, from arena construction
+  /// through the weird-edge pass.
   LiftStats Stats;
+  /// Set on a store hit only: how many Step-2 theorems the store's
+  /// re-proof of this graph discharged at lookup (every one of them;
+  /// a hit that fails its re-proof is a miss). exporter::checkBinary
+  /// counts these instead of proving the graph a second time.
+  std::optional<size_t> Reproven;
 
   /// The arena every expression in Graph/RetSym was interned in. Shared so
-  /// FunctionResult stays copyable; never null for lifter-produced results.
+  /// FunctionResult stays copyable; never null.
   std::shared_ptr<LiftArena> Arena;
 
   /// The expression context this result's predicates live in.
   expr::ExprContext &ctx() const { return Arena->ctx(); }
-  /// Arena context if present, else the caller-supplied fallback (for
-  /// hand-built results in tests).
-  const expr::ExprContext &ctxOr(const expr::ExprContext &Fallback) const {
-    return Arena ? Arena->ctx() : Fallback;
-  }
 
   size_t numInstructions() const { return Graph.instructionAddrs().size(); }
 };
@@ -178,8 +177,8 @@ public:
 
   /// A previously stored result for (Img, Cfg, Entry), or nullopt. A hit
   /// must be exactly what liftFunction() would produce: implementations
-  /// key on content digests and re-validate through Step-2, never trusting
-  /// stored bytes.
+  /// key on content digests and re-prove it through Step 2, never trusting
+  /// stored bytes, and record that proof's theorem count in its Reproven.
   virtual std::optional<FunctionResult> lookup(const elf::BinaryImage &Img,
                                                const LiftConfig &Cfg,
                                                uint64_t Entry) = 0;
@@ -194,7 +193,6 @@ public:
 class Lifter {
 public:
   Lifter(const elf::BinaryImage &Img, LiftConfig Cfg);
-  ~Lifter();
 
   FunctionResult liftFunction(uint64_t Entry);
   /// Lift from the ELF entry point, following internal calls.
@@ -202,11 +200,6 @@ public:
   /// Lift every exported function symbol (shared-object mode).
   BinaryResult liftLibrary();
 
-  /// Scratch context for callers that need to build expressions outside
-  /// any particular function (NOT the context lifted results live in —
-  /// use FunctionResult::ctx() for those).
-  expr::ExprContext &exprContext();
-  smt::RelationSolver &solver();
   const elf::BinaryImage &image() const { return Img; }
   const LiftConfig &config() const { return Cfg; }
 
@@ -218,8 +211,6 @@ private:
 
   const elf::BinaryImage &Img;
   LiftConfig Cfg;
-  /// Lazily created scratch arena backing exprContext()/solver().
-  std::shared_ptr<LiftArena> Scratch;
 };
 
 } // namespace hglift::hg

@@ -1,7 +1,9 @@
 #include "memmodel/MemModel.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
+#include <span>
 
 namespace hglift::mem {
 
@@ -73,8 +75,18 @@ struct ForestResult {
 };
 
 std::vector<ForestResult> insTree(const MemTree &T0,
-                                  const std::vector<MemTree> &Forest,
+                                  std::span<const MemTree> Forest,
                                   InsCtx &I, unsigned Budget);
+
+/// Head followed by a copy of Tail: an outcome's forest after the first
+/// tree of the input was replaced.
+std::vector<MemTree> consForest(MemTree Head, std::span<const MemTree> Tail) {
+  std::vector<MemTree> Out;
+  Out.reserve(1 + Tail.size());
+  Out.push_back(std::move(Head));
+  Out.insert(Out.end(), Tail.begin(), Tail.end());
+  return Out;
+}
 
 /// Fold-insert every tree of Items into an (initially empty) forest,
 /// producing all possible outcomes (used by the aliasing case of
@@ -85,7 +97,7 @@ std::vector<ForestResult> foldIns(const std::vector<MemTree> &Items,
   for (const MemTree &T : Items) {
     std::vector<ForestResult> Next;
     for (const ForestResult &F : Acc) {
-      for (ForestResult R : insTree(T, F.Forest, I, Budget)) {
+      for (ForestResult &R : insTree(T, F.Forest, I, Budget)) {
         R.Destroyed.insert(R.Destroyed.end(), F.Destroyed.begin(),
                            F.Destroyed.end());
         R.Assumptions.insert(R.Assumptions.end(), F.Assumptions.begin(),
@@ -105,26 +117,24 @@ std::vector<ForestResult> foldIns(const std::vector<MemTree> &Items,
 /// Handle "destroy T1 and keep inserting": removes T1 entirely, recording
 /// its regions as destroyed.
 std::vector<ForestResult> destroyCase(const MemTree &T0, const MemTree &T1,
-                                      const std::vector<MemTree> &Rest,
+                                      std::span<const MemTree> Rest,
                                       InsCtx &I, unsigned Budget) {
   std::vector<Region> Dead;
   T1.collectRegions(Dead);
-  std::vector<ForestResult> Out;
-  for (ForestResult R : insTree(T0, Rest, I, Budget)) {
+  std::vector<ForestResult> Out = insTree(T0, Rest, I, Budget);
+  for (ForestResult &R : Out)
     R.Destroyed.insert(R.Destroyed.end(), Dead.begin(), Dead.end());
-    Out.push_back(std::move(R));
-  }
   return Out;
 }
 
 std::vector<ForestResult> insTree(const MemTree &T0,
-                                  const std::vector<MemTree> &Forest,
+                                  std::span<const MemTree> Forest,
                                   InsCtx &I, unsigned Budget) {
   if (Forest.empty())
     return {ForestResult{{T0}, {}, {}}};
 
   const MemTree &T1 = Forest.front();
-  std::vector<MemTree> Rest(Forest.begin() + 1, Forest.end());
+  std::span<const MemTree> Rest = Forest.subspan(1);
 
   MemRel Rel = relateTrees(T0, T1, I);
 
@@ -138,22 +148,17 @@ std::vector<ForestResult> insTree(const MemTree &T0,
     std::vector<MemTree> Kids = T0.Children;
     Kids.insert(Kids.end(), T1.Children.begin(), T1.Children.end());
     std::vector<ForestResult> Out;
-    for (ForestResult F : foldIns(Kids, I, Budget)) {
-      MemTree NewTree{Merged, F.Forest};
-      std::vector<MemTree> NewForest{NewTree};
-      NewForest.insert(NewForest.end(), Rest.begin(), Rest.end());
+    for (ForestResult &F : foldIns(Kids, I, Budget))
       Out.push_back(
-          ForestResult{std::move(NewForest), F.Destroyed, F.Assumptions});
-    }
+          ForestResult{consForest(MemTree{Merged, std::move(F.Forest)}, Rest),
+                       std::move(F.Destroyed), std::move(F.Assumptions)});
     return Out;
   };
 
   auto sepCase = [&]() {
-    std::vector<ForestResult> Out;
-    for (ForestResult F : insTree(T0, Rest, I, Budget)) {
+    std::vector<ForestResult> Out = insTree(T0, Rest, I, Budget);
+    for (ForestResult &F : Out)
       F.Forest.insert(F.Forest.begin(), T1);
-      Out.push_back(std::move(F));
-    }
     return Out;
   };
 
@@ -167,13 +172,10 @@ std::vector<ForestResult> insTree(const MemTree &T0,
   case MemRel::MustEnc01: {
     // insENC: T0 goes into T1's sub-forest.
     std::vector<ForestResult> Out;
-    for (ForestResult F : insTree(T0, T1.Children, I, Budget)) {
-      MemTree NewT1{T1.Node, F.Forest};
-      std::vector<MemTree> NewForest{NewT1};
-      NewForest.insert(NewForest.end(), Rest.begin(), Rest.end());
+    for (ForestResult &F : insTree(T0, T1.Children, I, Budget))
       Out.push_back(
-          ForestResult{std::move(NewForest), F.Destroyed, F.Assumptions});
-    }
+          ForestResult{consForest(MemTree{T1.Node, std::move(F.Forest)}, Rest),
+                       std::move(F.Destroyed), std::move(F.Assumptions)});
     return Out;
   }
 
@@ -181,9 +183,9 @@ std::vector<ForestResult> insTree(const MemTree &T0,
     // insCON: T1 goes into T0's sub-forest; the combined tree is then
     // inserted into the rest of the forest.
     std::vector<ForestResult> Out;
-    for (ForestResult F1 : insTree(T1, T0.Children, I, Budget)) {
-      MemTree NewT0{T0.Node, F1.Forest};
-      for (ForestResult F2 : insTree(NewT0, Rest, I, Budget)) {
+    for (ForestResult &F1 : insTree(T1, T0.Children, I, Budget)) {
+      MemTree NewT0{T0.Node, std::move(F1.Forest)};
+      for (ForestResult &F2 : insTree(NewT0, Rest, I, Budget)) {
         F2.Destroyed.insert(F2.Destroyed.end(), F1.Destroyed.begin(),
                             F1.Destroyed.end());
         F2.Assumptions.insert(F2.Assumptions.end(), F1.Assumptions.begin(),
@@ -217,7 +219,7 @@ std::vector<ForestResult> insTree(const MemTree &T0,
                    T1.Node[0].str(*I.Ctx) +
                    " DO NOT PARTIALLY OVERLAP (alias or separate)";
     std::vector<ForestResult> Out = aliasCase();
-    for (ForestResult F : sepCase()) {
+    for (ForestResult &F : sepCase()) {
       Out.push_back(std::move(F));
       if (Out.size() >= Budget)
         break;
@@ -265,16 +267,19 @@ MemModel::insert(const Region &R, const Pred &P, RelationSolver &Solver,
   std::vector<ForestResult> Results;
   if (Anchor >= 0 && !MultiAnchor) {
     // Insert into the anchor tree alone; every sibling stays untouched.
-    std::vector<MemTree> Single{Forest[static_cast<size_t>(Anchor)]};
-    for (ForestResult F :
+    std::span<const MemTree> Single =
+        std::span<const MemTree>(*Forest).subspan(
+            static_cast<size_t>(Anchor), 1);
+    for (ForestResult &F :
          insTree(Leaf, Single, I, static_cast<unsigned>(MaxModelsPerInsert))) {
       ForestResult Full;
       Full.Destroyed = std::move(F.Destroyed);
       Full.Assumptions = std::move(F.Assumptions);
       for (size_t TI = 0; TI < Forest.size(); ++TI) {
         if (TI == static_cast<size_t>(Anchor))
-          Full.Forest.insert(Full.Forest.end(), F.Forest.begin(),
-                             F.Forest.end());
+          Full.Forest.insert(Full.Forest.end(),
+                             std::make_move_iterator(F.Forest.begin()),
+                             std::make_move_iterator(F.Forest.end()));
         else
           Full.Forest.push_back(Forest[TI]);
       }

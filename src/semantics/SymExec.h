@@ -154,7 +154,6 @@ public:
   /// pthread-style concurrency entry points (out of scope, §5.1).
   static bool isConcurrencyExternal(const std::string &Name);
 
-  ExprContext &exprContext() { return Ctx; }
   const SymConfig &config() const { return Cfg; }
 
 private:

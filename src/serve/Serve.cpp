@@ -197,8 +197,9 @@ struct Server {
   std::mutex LatMu;
   std::vector<double> LiftMs;
 
-  // Warm store instances, one per worker, created before the pool starts.
-  std::vector<std::unique_ptr<store::CacheStore>> Stores;
+  // The warm store every worker shares (null without --cache-dir),
+  // opened before the pool starts.
+  std::unique_ptr<store::CacheStore> Store;
 
   // Live connections (to shutdown() at drain) and their reader threads.
   std::mutex ConnMu;
@@ -247,9 +248,7 @@ std::string metricsLine(Server &S, const std::string &Id) {
     std::lock_guard<std::mutex> G(S.MemoMu);
     MemoEntries = S.Memo.size();
   }
-  store::CacheStats CS;
-  for (const std::unique_ptr<store::CacheStore> &St : S.Stores)
-    CS += St->stats();
+  store::CacheStats CS = S.Store ? S.Store->stats() : store::CacheStats();
   std::vector<double> Lat;
   {
     std::lock_guard<std::mutex> G(S.LatMu);
@@ -289,7 +288,7 @@ std::string metricsLine(Server &S, const std::string &Id) {
 
 // ------------------------------------------------------------- processing
 
-void processJob(Server &S, store::CacheStore *Store, Job &J) {
+void processJob(Server &S, Job &J) {
   const Request &R = J.R;
 
   if (R.Op == "explain") {
@@ -353,7 +352,7 @@ void processJob(Server &S, store::CacheStore *Store, Job &J) {
   }
 
   Options SO = R.Opt;
-  SO.Cache.Shared = Store; // null when no --cache-dir
+  SO.Cache.Shared = S.Store.get();
 
   std::chrono::steady_clock::time_point T0 = std::chrono::steady_clock::now();
   Session Sess(*Img, SO);
@@ -396,9 +395,7 @@ void processJob(Server &S, store::CacheStore *Store, Job &J) {
   J.C->writeLine(doneLine(R.Id));
 }
 
-void workerLoop(Server &S, unsigned Idx) {
-  store::CacheStore *Store =
-      Idx < S.Stores.size() ? S.Stores[Idx].get() : nullptr;
+void workerLoop(Server &S) {
   for (;;) {
     Job J;
     {
@@ -414,7 +411,7 @@ void workerLoop(Server &S, unsigned Idx) {
     // queue deterministically (the job is in_flight while it sleeps).
     if (const char *E = std::getenv("HGLIFT_SERVE_TEST_SLEEP_MS"))
       std::this_thread::sleep_for(std::chrono::milliseconds(std::atoi(E)));
-    processJob(S, Store, J);
+    processJob(S, J);
     {
       std::lock_guard<std::mutex> L(S.QMu);
       --S.InFlight;
@@ -592,18 +589,14 @@ int runServe(const ServeOptions &Opt, std::ostream &OS, std::ostream &ES) {
     }
   }
 
-  // One warm store per worker, opened before the pool starts so worker I
-  // can hold instance I for its whole life (sequential reuse per instance;
-  // the on-disk format makes concurrent instances over one DIR safe).
   if (!Opt.Base.Cache.Dir.empty())
-    for (unsigned I = 0; I < Opt.Workers; ++I)
-      S.Stores.push_back(
-          std::make_unique<store::CacheStore>(Opt.Base.Cache.storeOptions()));
+    S.Store =
+        std::make_unique<store::CacheStore>(Opt.Base.Cache.storeOptions());
 
   std::vector<std::thread> Workers;
   Workers.reserve(Opt.Workers);
   for (unsigned I = 0; I < Opt.Workers; ++I)
-    Workers.emplace_back([&S, I] { workerLoop(S, I); });
+    Workers.emplace_back([&S] { workerLoop(S); });
 
   OS << "serve: listening on " << Opt.SocketPath;
   if (Opt.TcpPort)

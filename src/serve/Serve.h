@@ -11,8 +11,8 @@
 // every response line carries that number.
 //
 // What stays warm across requests:
-//   - one content-addressed artifact store instance per worker thread
-//     (store/Store.h) over the shared --cache-dir: two clients submitting
+//   - one content-addressed artifact store (store/Store.h) over
+//     --cache-dir, shared by every worker thread: two clients submitting
 //     identical instruction bytes pay for one lift, and the second gets a
 //     Step-2-re-proven hit, never a trusted one;
 //   - an in-memory LRU memo of whole-file responses (--memo-max), so a
@@ -53,8 +53,8 @@ inline constexpr const char *RequestOps[] = {"lift", "check", "explain",
 /// with. Plain data, filled by the flag table (driver/Flags.h).
 struct ServeOptions {
   /// Daemon: what every served Session lifts with. Its Cache is the
-  /// shared artifact store (one warm instance per worker), Library the
-  /// default for requests that omit `library`, and Lift.MaxSeconds /
+  /// artifact store all workers share, Library the default for requests
+  /// that omit `library`, and Lift.MaxSeconds /
   /// Lift.MaxVertices the caps a request's max_seconds / max_insns may
   /// lower but never raise (a wall cap of 0 is no limit, so the request's
   /// budget applies). Sessions always run single-threaded: --threads is

@@ -47,13 +47,34 @@
 #define HGLIFT_SHARD_SHARD_H
 
 #include "api/Hglift.h"
-#include "support/LiftStats.h"
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
 namespace hglift::shard {
+
+/// Counters for one sharded run's scheduler: how the work units were
+/// planned, claimed, and stolen, and what the cost model estimated.
+/// Purely observational: none of these counters feed back into
+/// scheduling decisions.
+struct ShardSchedStats {
+  /// Work units planned (one per input binary).
+  uint64_t UnitsTotal = 0;
+  /// Units granted to workers over the claim protocol.
+  uint64_t Claims = 0;
+  /// Claims whose unit the static round-robin plan would have assigned to
+  /// a different worker — the work the pull scheduler moved.
+  uint64_t Steals = 0;
+  /// Claimed-but-unfinished units returned to the queue by a worker crash
+  /// or a unit-level IO failure, then granted again.
+  uint64_t Requeues = 0;
+  /// Sum of per-unit cost estimates at plan time (heuristic
+  /// pseudo-seconds).
+  double EstimatedSeconds = 0;
+  /// Sum of per-unit observed wall seconds reported by workers.
+  double ObservedSeconds = 0;
+};
 
 /// Everything a sharded run can be configured with. Whatever the CLI can
 /// set here survives the trip through a worker's argv: the worker argv is

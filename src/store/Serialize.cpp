@@ -115,6 +115,13 @@ struct Reader {
   }
 };
 
+/// The LiftStats counter block: integer fields only. The wall-clock
+/// (double) fields stay out of content-addressed objects.
+void putCounter(Writer &W, uint64_t V) { W.u64(V); }
+void putCounter(Writer &, double) {}
+void getCounter(Reader &R, uint64_t &V) { V = R.u64(); }
+void getCounter(Reader &, double &) {}
+
 // --- expression table ------------------------------------------------------
 
 /// Assigns 1-based indices to expressions on first use (0 = null). The
@@ -651,13 +658,9 @@ std::vector<uint8_t> serializeFunction(const hg::FunctionResult &F,
   Body.u32(F.ResolvedIndirections);
   Body.u32(F.UnresolvedJumps);
   Body.u32(F.UnresolvedCalls);
-  const LiftStats &S = F.Stats;
-  for (uint64_t C : {S.Vertices, S.Joins, S.Widenings, S.Steps, S.Forks,
-                     S.SolverQueries, S.Z3Queries, S.RelCacheHits,
-                     S.RelCacheMisses, S.RelCacheInvalidated, S.LeqHits,
-                     S.LeqMisses, S.VsaQueries, S.VsaResolved, S.VsaTargets,
-                     S.VsaRestarts})
-    Body.u64(C);
+#define HGLIFT_STATS_PUT(Type, Member, Name) putCounter(Body, F.Stats.Member);
+  HGLIFT_LIFT_STATS(HGLIFT_STATS_PUT)
+#undef HGLIFT_STATS_PUT
 
   // Structures; expression-table indices are assigned on first use, in
   // exactly this serialization order, so the format is deterministic.
@@ -747,17 +750,9 @@ deserializeFunction(const std::vector<uint8_t> &Bytes,
   F.ResolvedIndirections = R.u32();
   F.UnresolvedJumps = R.u32();
   F.UnresolvedCalls = R.u32();
-  uint64_t *Counters[] = {
-      &F.Stats.Vertices,      &F.Stats.Joins,
-      &F.Stats.Widenings,     &F.Stats.Steps,
-      &F.Stats.Forks,         &F.Stats.SolverQueries,
-      &F.Stats.Z3Queries,     &F.Stats.RelCacheHits,
-      &F.Stats.RelCacheMisses, &F.Stats.RelCacheInvalidated,
-      &F.Stats.LeqHits,       &F.Stats.LeqMisses,
-      &F.Stats.VsaQueries,    &F.Stats.VsaResolved,
-      &F.Stats.VsaTargets,    &F.Stats.VsaRestarts};
-  for (uint64_t *C : Counters)
-    *C = R.u64();
+#define HGLIFT_STATS_GET(Type, Member, Name) getCounter(R, F.Stats.Member);
+  HGLIFT_LIFT_STATS(HGLIFT_STATS_GET)
+#undef HGLIFT_STATS_GET
 
   std::vector<const Expr *> Table = readExprTable(R, Ctx);
   if (R.Fail)

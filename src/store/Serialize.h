@@ -9,9 +9,11 @@
 // identical bytes, which is what the round-trip tests pin and what makes
 // content-addressed storage meaningful.
 //
-// Wall-clock fields (FunctionResult::Seconds, LiftStats::Seconds) and the
+// Wall-clock fields (LiftStats::Seconds and SolverSeconds) and the
 // schedule-dependent Provenance::Worker are excluded — exactly the fields
 // --report-json already excludes so its bytes are thread-count-invariant.
+// Every integer LiftStats counter is kept, so a store hit's --stats-json
+// reads what its cold lift did.
 //
 // The entry header carries three invalidation keys, checkable without
 // deserializing the payload:
@@ -45,7 +47,9 @@
 namespace hglift::store {
 
 /// Bump on any change to the serialized layout below.
-constexpr uint32_t StoreSchemaVersion = 2;
+/// 3: the counter block holds every integer LiftStats field, in
+/// HGLIFT_LIFT_STATS order.
+constexpr uint32_t StoreSchemaVersion = 3;
 
 /// Bump whenever the instruction semantics or the abstract domains change
 /// in a way that can alter a lifted graph (see the header comment).

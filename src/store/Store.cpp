@@ -1,5 +1,7 @@
 #include "store/Store.h"
 
+#include "export/HoareChecker.h"
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -124,22 +126,21 @@ CacheStore::lookupImpl(const elf::BinaryImage &Img, const hg::LiftConfig &Cfg,
   if (!F)
     return std::nullopt;
 
-  if (Opt.Validate) {
-    // Never trust the stored graph: re-prove every edge (the paper's
-    // Step-2, one theorem per edge). This also covers byte dependencies
-    // the spans cannot see, e.g. jump-table rodata — re-running the
-    // semantics re-reads them from the current image.
-    exporter::CheckContext CC{Img, Cfg.Sym, nullptr};
-    exporter::CheckResult CR = exporter::checkFunction(CC, *F);
+  // Never trust the stored graph: re-prove every edge (the paper's
+  // Step-2, one theorem per edge). This also covers byte dependencies the
+  // spans cannot see, e.g. jump-table rodata — re-running the semantics
+  // re-reads them from the current image.
+  exporter::CheckResult CR =
+      exporter::checkFunction(exporter::CheckContext{Img, Cfg.Sym}, *F);
+  {
+    std::lock_guard<std::mutex> G(Mu);
     if (!CR.allProven()) {
-      std::lock_guard<std::mutex> G(Mu);
       ++Stats.ValidationFailures;
       return std::nullopt;
     }
-    std::lock_guard<std::mutex> G(Mu);
     ++Stats.Validated;
-    Validations[Entry] = std::move(CR);
   }
+  F->Reproven = CR.Theorems;
 
   // LRU touch: refresh the object's mtime so the byte-budget sweep
   // removes cold entries first.
@@ -150,7 +151,7 @@ CacheStore::lookupImpl(const elf::BinaryImage &Img, const hg::LiftConfig &Cfg,
 
 void CacheStore::store(const elf::BinaryImage &Img, const hg::LiftConfig &Cfg,
                        const hg::FunctionResult &F) {
-  if (F.Outcome != hg::LiftOutcome::Lifted || !F.Arena)
+  if (F.Outcome != hg::LiftOutcome::Lifted)
     return;
   std::vector<Span> Spans = instructionSpans(F);
   if (!byteDigest(Img, Spans))
@@ -224,21 +225,6 @@ void CacheStore::evictOverBudget() {
 CacheStats CacheStore::stats() const {
   std::lock_guard<std::mutex> G(Mu);
   return Stats;
-}
-
-std::optional<exporter::CheckResult> CacheStore::takeValidation(uint64_t Entry) {
-  std::lock_guard<std::mutex> G(Mu);
-  auto It = Validations.find(Entry);
-  if (It == Validations.end())
-    return std::nullopt;
-  exporter::CheckResult R = std::move(It->second);
-  Validations.erase(It);
-  return R;
-}
-
-void CacheStore::resetValidations() {
-  std::lock_guard<std::mutex> G(Mu);
-  Validations.clear();
 }
 
 } // namespace hglift::store

@@ -12,15 +12,17 @@
 // Soundness story: a hit is NEVER trusted. The entry header's digests
 // (instruction bytes re-read from the current image, config, semantics
 // revision, schema version) gate deserialization, and the deserialized
-// graph is then re-validated through the Step-2 checker — one theorem per
+// graph is then re-proven through the Step-2 checker — one theorem per
 // edge, exactly what the paper's Isabelle step would re-prove. Anything
 // short of a fully proven graph degrades to a clean miss and a fresh lift.
-// Validation is skippable only by explicit opt-out (--no-cache-validate),
-// which trades the soundness story for speed and says so in the docs.
+// The proof travels with the hit: its theorem count is recorded on the
+// returned result (FunctionResult::Reproven), so a later binary-wide
+// check counts it instead of proving it twice.
 //
-// Concurrency: lookup/store may be called from many lifting workers (and
-// many processes sharing one DIR). All writes are tempfile+rename; a torn
-// or half-written entry can never be observed, only a missing or a
+// Concurrency: lookup/store may be called from many lifting workers, from
+// many Sessions sharing one instance (the serve daemon's workers), and
+// from many processes sharing one DIR. All writes are tempfile+rename; a
+// torn or half-written entry can never be observed, only a missing or a
 // complete one. Readers treat every failure mode — missing ref, missing
 // object, checksum mismatch, malformed payload — as a miss.
 //
@@ -33,10 +35,8 @@
 #ifndef HGLIFT_STORE_STORE_H
 #define HGLIFT_STORE_STORE_H
 
-#include "export/HoareChecker.h"
 #include "store/Serialize.h"
 
-#include <map>
 #include <mutex>
 #include <string>
 
@@ -50,9 +50,7 @@ struct CacheStats {
   uint64_t ValidationFailures = 0; ///< hits rejected by Step-2 (degraded to miss)
   uint64_t Evictions = 0; ///< objects removed by the byte-budget sweep
 
-  /// Fold another counter snapshot in — consumers that own several store
-  /// instances over one directory (one per serve worker thread) aggregate
-  /// a fleet-wide picture this way.
+  /// Fold another counter snapshot in (a bench sums its runs this way).
   CacheStats &operator+=(const CacheStats &O) {
     Hits += O.Hits;
     Misses += O.Misses;
@@ -70,9 +68,6 @@ public:
     std::string Dir;
     /// Byte budget for objects/ (0 = unlimited). Checked after stores.
     uint64_t MaxBytes = 0;
-    /// Re-validate every hit through the Step-2 checker before returning
-    /// it. Leave on unless you accept trusting stored graphs.
-    bool Validate = true;
   };
 
   explicit CacheStore(Options O);
@@ -85,22 +80,6 @@ public:
 
   CacheStats stats() const;
 
-  /// The Step-2 result of a hit's re-validation, by function entry —
-  /// always fully proven (failed validations become misses). Consumers
-  /// running their own binary-wide check (hglift --check) reuse these
-  /// instead of re-checking, which both avoids double work and keeps the
-  /// fresh-variable sequence identical to a cold run's.
-  std::optional<exporter::CheckResult> takeValidation(uint64_t Entry);
-
-  /// Drop every pending hit-time validation. A store instance reused
-  /// across *sequential* Sessions (the serve daemon keeps one per worker
-  /// thread warm across requests) must call this between binaries:
-  /// validations are keyed by function entry address, and a stale entry
-  /// from the previous binary could otherwise be merged into an unrelated
-  /// function's Step-2 summary when entry addresses collide. Counters are
-  /// untouched — they are cumulative by design.
-  void resetValidations();
-
 private:
   std::optional<hg::FunctionResult> lookupImpl(const elf::BinaryImage &Img,
                                                const hg::LiftConfig &Cfg,
@@ -108,10 +87,9 @@ private:
   void evictOverBudget();
 
   Options Opt;
-  mutable std::mutex Mu; ///< guards Stats and Validations (files are
-                         ///< atomic-rename safe on their own)
+  mutable std::mutex Mu; ///< guards Stats (files are atomic-rename safe
+                         ///< on their own)
   CacheStats Stats;
-  std::map<uint64_t, exporter::CheckResult> Validations;
 };
 
 } // namespace hglift::store

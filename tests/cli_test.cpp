@@ -456,6 +456,12 @@ TEST(CliFlags, UsageErrorsNameTheirArgument) {
   EXPECT_NE(R.Output.find("unknown option --steal-granularity"),
             std::string::npos)
       << R.Output;
+  R = runCli("check /dev/null --cache-dir " + tmpPath("gone_cache") +
+             " --no-cache-validate");
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("unknown option --no-cache-validate"),
+            std::string::npos)
+      << R.Output;
 
   R = runCli("/dev/null /dev/zero");
   EXPECT_EQ(R.ExitCode, 2) << R.Output;
@@ -531,7 +537,6 @@ driver::CommandLine randomCommandLine(Rng &R, driver::Command Cmd) {
     O.Library = Coin();
     O.Cache.Dir = Maybe("/tmp/cache");
     O.Cache.MaxMB = Coin() ? R.below(1u << 20) : 0;
-    O.Cache.Validate = Coin();
     hg::LiftConfig &L = O.Lift;
     L.EnableJoin = Coin();
     if (Coin())

@@ -115,8 +115,7 @@ TEST(IsabelleExport, WellFormedTheory) {
   exporter::IsabelleOptions Opts;
   Opts.TheoryName = "call_chain_hg";
   size_t Lemmas = 0;
-  std::string Thy =
-      exporter::exportBinary(S.scratchContext(), R, Opts, &Lemmas);
+  std::string Thy = exporter::exportBinary(R, Opts, &Lemmas);
 
   EXPECT_NE(Thy.find("theory call_chain_hg"), std::string::npos);
   EXPECT_NE(Thy.find("imports"), std::string::npos);
@@ -153,7 +152,7 @@ TEST(IsabelleExport, ObligationsAppear) {
   Session S(BB->Img, Options());
   const hg::BinaryResult &R = S.lift();
   exporter::IsabelleOptions Opts;
-  std::string Thy = exporter::exportBinary(S.scratchContext(), R, Opts);
+  std::string Thy = exporter::exportBinary(R, Opts);
   EXPECT_NE(Thy.find("MUST PRESERVE"), std::string::npos)
       << "proof obligations are exported with the theory (§5.2)";
 }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -87,7 +88,7 @@ TEST(ParallelCache, IndependentWritersRaceOneDirectory) {
   std::vector<store::CacheStats> Stats(Racers);
   for (unsigned I = 0; I < Racers; ++I)
     Threads.emplace_back([&, I] {
-      store::CacheStore Store({Dir.str(), 0, true});
+      store::CacheStore Store({Dir.str(), 0});
       hg::LiftConfig Cfg;
       Cfg.Cache = &Store;
       hg::Lifter L(BB->Img, Cfg);
@@ -107,7 +108,7 @@ TEST(ParallelCache, IndependentWritersRaceOneDirectory) {
   }
   EXPECT_GT(MaxStored, 0u);
 
-  store::CacheStore Store({Dir.str(), 0, true});
+  store::CacheStore Store({Dir.str(), 0});
   hg::LiftConfig Cfg;
   Cfg.Cache = &Store;
   hg::Lifter L(BB->Img, Cfg);
@@ -155,6 +156,66 @@ TEST(ParallelCache, RacingSessionsAgreeOnResults) {
     EXPECT_EQ(Reports[I], Plain) << "racing session " << I << " diverged";
 }
 
+TEST(ParallelCache, InterleavedSessionsKeepTheirOwnProofs) {
+  // Sessions sharing one store instance, as the serve daemon's workers do:
+  // B is constructed, A lifts with hits, B lifts a library with a
+  // different function at a colliding entry address, and only then do B
+  // and A check. A hit carries its own proof, so each report must equal
+  // its cold one, Step-2 summary included.
+  corpus::GenOptions G;
+  G.NumFuncs = 3;
+  G.Seed = 11;
+  auto A = corpus::randomLibrary(G);
+  G.Seed = 12;
+  auto B = corpus::randomLibrary(G);
+  ASSERT_TRUE(A.has_value() && B.has_value());
+  TempDir Dir("interleaved");
+
+  Options O;
+  O.Library = true;
+  O.Lift.Threads = 2;
+  auto Report = [](Session &S) {
+    S.check();
+    std::ostringstream OS;
+    S.writeReportJson(OS);
+    return OS.str();
+  };
+  std::string ColdA, ColdB;
+  {
+    Session S(A->Img, O);
+    ColdA = Report(S);
+  }
+  {
+    Session S(B->Img, O);
+    ColdB = Report(S);
+  }
+
+  store::CacheStore Store({Dir.str(), 0});
+  O.Cache.Shared = &Store;
+  {
+    Session Fill(A->Img, O);
+    Fill.lift();
+  }
+  Session SB(B->Img, O);
+  Session SA(A->Img, O);
+  const hg::BinaryResult &RA = SA.lift();
+  EXPECT_EQ(Store.stats().Hits, RA.Functions.size());
+  uint64_t Misses = Store.stats().Misses;
+  const hg::BinaryResult &RB = SB.lift();
+  std::set<uint64_t> EntriesA;
+  for (const hg::FunctionResult &F : RA.Functions)
+    EntriesA.insert(F.Entry);
+  size_t Colliding = 0;
+  for (const hg::FunctionResult &F : RB.Functions)
+    Colliding += EntriesA.count(F.Entry);
+  ASSERT_GT(Colliding, 0u) << "the two libraries must share an entry";
+  EXPECT_EQ(Store.stats().Misses - Misses, RB.Functions.size())
+      << "B's functions differ from A's, so none of them may hit";
+
+  EXPECT_EQ(Report(SB), ColdB);
+  EXPECT_EQ(Report(SA), ColdA);
+}
+
 TEST(ParallelCache, EvictionRacesLookups) {
   // A tiny byte budget makes every store trigger the eviction sweep while
   // other workers are mid-lookup; misses from evicted entries just relift.
@@ -166,7 +227,7 @@ TEST(ParallelCache, EvictionRacesLookups) {
   std::vector<std::thread> Threads;
   for (unsigned I = 0; I < Racers; ++I)
     Threads.emplace_back([&] {
-      store::CacheStore Store({Dir.str(), /*MaxBytes=*/64, true});
+      store::CacheStore Store({Dir.str(), /*MaxBytes=*/64});
       hg::LiftConfig Cfg;
       Cfg.Cache = &Store;
       hg::Lifter L(BB->Img, Cfg);

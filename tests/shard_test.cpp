@@ -119,7 +119,7 @@ TEST(ShardPlan, RoundRobinReferenceOwners) {
   // worker i % Shards, so the slices are balanced to within one unit.
   shard::ShardOptions O = baseOptions(tmpPath("cache_plan"), 3);
   O.Binaries.insert(O.Binaries.end(), O.Binaries.begin(), O.Binaries.end());
-  ShardSchedStats Sched;
+  shard::ShardSchedStats Sched;
   std::vector<shard::WorkUnit> Units = shard::planUnits(O, 3, Sched);
   ASSERT_EQ(Units.size(), O.Binaries.size());
   std::vector<size_t> PerOwner(3, 0);
