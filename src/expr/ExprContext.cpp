@@ -116,26 +116,23 @@ uint64_t hashCombine(uint64_t H, uint64_t V) {
   return H;
 }
 
-uint64_t computeHash(const Expr &E, ExprKind K, uint8_t W, Opcode Opc,
-                     uint64_t CV, uint32_t VId, uint32_t DSz,
-                     const std::vector<const Expr *> &Ops) {
-  uint64_t H = hashCombine(static_cast<uint64_t>(K) * 0x100 + W, CV);
-  H = hashCombine(H, static_cast<uint64_t>(Opc));
-  H = hashCombine(H, VId);
-  H = hashCombine(H, DSz);
-  for (const Expr *Op : Ops)
-    H = hashCombine(H, Op->hashValue());
-  return H;
-}
-
 } // namespace
 
 ExprContext::ExprContext() = default;
 
+uint64_t ExprContext::hashOf(const Expr &E) {
+  uint64_t H =
+      hashCombine(static_cast<uint64_t>(E.Kind) * 0x100 + E.Width, E.ConstVal);
+  H = hashCombine(H, static_cast<uint64_t>(E.Opc));
+  H = hashCombine(H, E.VarId);
+  H = hashCombine(H, E.DerefSize);
+  for (const Expr *Op : E.Ops)
+    H = hashCombine(H, Op->hashValue());
+  return H;
+}
+
 const Expr *ExprContext::intern(Expr &&Proto) {
-  Proto.Hash = computeHash(Proto, Proto.Kind, Proto.Width, Proto.Opc,
-                           Proto.ConstVal, Proto.VarId, Proto.DerefSize,
-                           Proto.Ops);
+  Proto.Hash = hashOf(Proto);
   auto It = Interned.find(&Proto);
   if (It != Interned.end())
     return It->second;
@@ -158,40 +155,69 @@ const Expr *ExprContext::mkConst(uint64_t V, unsigned Width) {
 
 const Expr *ExprContext::mkVar(VarClass Cls, const std::string &Name,
                                unsigned Width, uint64_t Aux) {
+  // Only a name with a '#' can be a minted one (index those first, so the
+  // lookup finds them) or collide with a later mint (so mkFresh must probe).
+  const bool Hashed = Name.find('#') != std::string::npos;
+  if (Hashed)
+    indexMinted();
   auto [It, New] =
       VarByName.try_emplace(Name, static_cast<uint32_t>(Vars.size()));
-  if (New)
+  if (New) {
     Vars.push_back(VarInfo{Cls, Name, Aux});
-  return varExpr(It->second, Width, Cls);
+    ProbeNames |= Hashed;
+  }
+  return intern(varProto(It->second, Width, Cls));
 }
 
 const Expr *ExprContext::mkFresh(const std::string &Hint, unsigned Width) {
   // Skip names that already exist: a deserialized context carries the
   // producer's variables, and reusing one of them would silently break the
-  // freshness guarantee the caller relies on. One map probe per candidate:
-  // try_emplace both tests the name and claims it.
+  // freshness guarantee the caller relies on. Minted names cannot collide
+  // with each other: the counter value is what follows the last '#', and
+  // it only moves forward between rewinds. So a candidate can only equal a
+  // name mkVar registered with a '#' in it, or one minted before a rewind,
+  // and the map is probed only once such a name exists (ProbeNames).
   std::string Name = Hint + "#";
   const size_t Stem = Name.size();
-  for (;;) {
+  do {
     Name.resize(Stem);
     Name += std::to_string(FreshCounter++);
-    auto [It, New] =
-        VarByName.try_emplace(Name, static_cast<uint32_t>(Vars.size()));
-    if (New) {
-      Vars.push_back(VarInfo{VarClass::Fresh, std::move(Name), 0});
-      return varExpr(It->second, Width, VarClass::Fresh);
-    }
-  }
+  } while (ProbeNames && VarByName.count(Name));
+  const uint32_t Id = static_cast<uint32_t>(Vars.size());
+  Vars.push_back(VarInfo{VarClass::Fresh, std::move(Name), 0});
+  // A new id has no node yet: store it without probing Interned.
+  Expr E = varProto(Id, Width, VarClass::Fresh);
+  E.Hash = hashOf(E);
+  Nodes.push_back(std::move(E));
+  Minted.push_back(&Nodes.back());
+  return &Nodes.back();
 }
 
-const Expr *ExprContext::varExpr(uint32_t Id, unsigned Width, VarClass Cls) {
+void ExprContext::setFreshCounter(uint64_t C) {
+  // A rewound counter can reach the names it minted before.
+  if (C < FreshCounter) {
+    indexMinted();
+    ProbeNames = true;
+  }
+  FreshCounter = C;
+}
+
+void ExprContext::indexMinted() {
+  for (const Expr *E : Minted) {
+    VarByName.emplace(Vars[E->varId()].Name, E->varId());
+    Interned.emplace(E, E);
+  }
+  Minted.clear();
+}
+
+Expr ExprContext::varProto(uint32_t Id, unsigned Width, VarClass Cls) {
   Expr E;
   E.Kind = ExprKind::Var;
   E.Width = static_cast<uint8_t>(Width);
   E.VarId = Id;
   E.Size = 1;
   E.HasFresh = (Cls == VarClass::Fresh || Cls == VarClass::External);
-  return intern(std::move(E));
+  return E;
 }
 
 const Expr *ExprContext::mkDeref(const Expr *Addr, uint32_t SizeBytes) {

@@ -38,7 +38,10 @@ public:
 
   const Expr *mkVar(VarClass Cls, const std::string &Name, unsigned Width = 64,
                     uint64_t Aux = 0);
-  /// A brand-new Fresh variable with a unique name derived from Hint.
+  /// A brand-new Fresh variable named Hint#N, N the next counter value
+  /// that names no known variable. Minted names live in Vars but not in
+  /// VarByName, and their nodes not in Interned, until a lookup needs them
+  /// (indexMinted); mkVar of a minted name still returns the minted node.
   const Expr *mkFresh(const std::string &Hint, unsigned Width = 64);
 
   const Expr *mkOp(Opcode Opc, std::vector<const Expr *> Ops, unsigned Width);
@@ -80,7 +83,7 @@ public:
   /// fresh-variable sequence where the producing context left off (warm
   /// Step-2 then allocates the same names a cold run would).
   uint64_t freshCounter() const { return FreshCounter; }
-  void setFreshCounter(uint64_t C) { FreshCounter = C; }
+  void setFreshCounter(uint64_t C);
 
   const VarInfo &varInfo(uint32_t Id) const { return Vars[Id]; }
   size_t numVars() const { return Vars.size(); }
@@ -89,6 +92,7 @@ public:
   size_t numExprs() const { return Nodes.size(); }
 
 private:
+  static uint64_t hashOf(const Expr &E);
   const Expr *intern(Expr &&Proto);
   const Expr *foldOp(Opcode Opc, const std::vector<const Expr *> &Ops,
                      unsigned Width);
@@ -100,13 +104,20 @@ private:
     bool operator()(const Expr *A, const Expr *B) const;
   };
 
-  /// The interned variable node for variable Id (mkVar / mkFresh).
-  const Expr *varExpr(uint32_t Id, unsigned Width, VarClass Cls);
+  /// The (unhashed) node for variable Id.
+  static Expr varProto(uint32_t Id, unsigned Width, VarClass Cls);
+  /// Add the minted variables to VarByName and their nodes to Interned.
+  void indexMinted();
 
   std::deque<Expr> Nodes;
   std::unordered_map<const Expr *, const Expr *, KeyHash, KeyEq> Interned;
   std::vector<VarInfo> Vars;
   std::unordered_map<std::string, uint32_t> VarByName;
+  /// Nodes mkFresh made since the last indexMinted().
+  std::vector<const Expr *> Minted;
+  /// Some registered name could equal a candidate mkFresh mints: mkVar
+  /// registered a name with a '#', or the counter was rewound.
+  bool ProbeNames = false;
   uint64_t FreshCounter = 0;
 };
 

@@ -429,11 +429,36 @@ std::vector<MemTree> joinForests(const std::vector<MemTree> &FA,
   return Out;
 }
 
+/// Does joinForests(F, F) return F tree for tree? It does exactly when no
+/// node is empty and no two siblings share a region, at every depth: then
+/// each class is one tree plus its copy, the node intersection is the node
+/// itself and the children recurse the same way. An empty node is dropped
+/// as one-sided and sharing siblings merge into one class, so the result
+/// is shorter than F.
+bool selfJoinIsIdentity(const std::vector<MemTree> &F) {
+  for (size_t I = 0; I < F.size(); ++I) {
+    if (F[I].Node.empty())
+      return false;
+    for (size_t J = 0; J < I; ++J)
+      if (nodesShareRegion(F[I], F[J]))
+        return false;
+    if (!selfJoinIsIdentity(F[I].Children))
+      return false;
+  }
+  return true;
+}
+
 } // namespace
 
 MemModel MemModel::join(const MemModel &A, const MemModel &B) {
   MemModel J;
-  J.Forest = joinForests(*A.Forest, *B.Forest);
+  // Nearly every join at a revisited vertex brings the vertex's own forest
+  // back (Cow's == short-circuits on a shared buffer); keep A's buffer then
+  // instead of rebuilding the same trees.
+  if (A.Forest == B.Forest && selfJoinIsIdentity(*A.Forest))
+    J.Forest = A.Forest;
+  else
+    J.Forest = joinForests(*A.Forest, *B.Forest);
   // Clobber knowledge is unioned: more clobbered is more abstract.
   J.HavocAll = A.HavocAll || B.HavocAll;
   J.HavocGlobals = A.HavocGlobals || B.HavocGlobals;

@@ -10,7 +10,13 @@
 //     deep copy;
 //   * Pred::leq, which backtracks its matcher through an undo trail, agrees
 //     with the copying matcher it replaced (kept below as the reference) on
-//     random predicate pairs and on lifted vertex-state pairs.
+//     random predicate pairs and on lifted vertex-state pairs;
+//   * MemModel::join, which keeps A's forest buffer when B brings an equal
+//     forest that joins with itself to itself, agrees with the
+//     joinForests-only join (kept below as the reference) on random pairs,
+//     on forests whose self-join drops or merges trees, and on the (vertex
+//     state, arriving state) pairs of lifted functions, and keeps the
+//     buffer exactly when that identity holds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -797,6 +803,248 @@ TEST(LeqTrail, MatchesCopyingMatcherOnLiftedVertexStates) {
   }
   EXPECT_GT(Pairs, 2000u);
   EXPECT_GT(Holds, 0u);
+}
+
+// --- join keeps an equal forest -------------------------------------------------
+
+/// The general forest join (MemModel.cpp's joinForests: Definition 3.12
+/// with one-sided classes dropped), run on every pair: the reference for
+/// the join that keeps A's forest.
+std::vector<MemTree> refJoinForests(const std::vector<MemTree> &FA,
+                                    const std::vector<MemTree> &FB) {
+  auto Share = [](const MemTree &A, const MemTree &B) {
+    for (const Region &R : A.Node)
+      for (const Region &S : B.Node)
+        if (R == S)
+          return true;
+    return false;
+  };
+  struct Entry {
+    const MemTree *T;
+    bool FromA;
+    int Class;
+  };
+  std::vector<Entry> Entries;
+  for (const MemTree &T : FA)
+    Entries.push_back({&T, true, -1});
+  for (const MemTree &T : FB)
+    Entries.push_back({&T, false, -1});
+  int NumClasses = 0;
+  for (size_t I = 0; I < Entries.size(); ++I) {
+    if (Entries[I].Class >= 0)
+      continue;
+    Entries[I].Class = NumClasses++;
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (size_t J = 0; J < Entries.size(); ++J) {
+        if (Entries[J].Class >= 0)
+          continue;
+        for (size_t K = 0; K < Entries.size(); ++K)
+          if (Entries[K].Class == Entries[I].Class &&
+              Share(*Entries[J].T, *Entries[K].T)) {
+            Entries[J].Class = Entries[I].Class;
+            Changed = true;
+            break;
+          }
+      }
+    }
+  }
+  std::vector<MemTree> Out;
+  for (int C = 0; C < NumClasses; ++C) {
+    std::vector<const MemTree *> InClass;
+    bool HasA = false, HasB = false;
+    for (const Entry &E : Entries)
+      if (E.Class == C) {
+        InClass.push_back(E.T);
+        (E.FromA ? HasA : HasB) = true;
+      }
+    if (!HasA || !HasB)
+      continue;
+    std::vector<Region> Node = InClass[0]->Node;
+    for (size_t I = 1; I < InClass.size(); ++I) {
+      std::vector<Region> Keep;
+      for (const Region &R : Node)
+        if (std::find(InClass[I]->Node.begin(), InClass[I]->Node.end(), R) !=
+            InClass[I]->Node.end())
+          Keep.push_back(R);
+      Node = std::move(Keep);
+    }
+    if (Node.empty())
+      continue;
+    std::vector<MemTree> Kids = InClass[0]->Children;
+    for (size_t I = 1; I < InClass.size(); ++I)
+      Kids = refJoinForests(Kids, InClass[I]->Children);
+    Out.push_back(MemTree{std::move(Node), std::move(Kids)});
+  }
+  return Out;
+}
+
+MemSnap refJoin(const MemModel &A, const MemModel &B) {
+  constexpr size_t MaxClobbered = 256; // MemModel::MaxClobbered
+  MemSnap J;
+  J.Forest = refJoinForests(*A.Forest, *B.Forest);
+  J.HavocAll = A.HavocAll || B.HavocAll;
+  J.HavocGlobals = A.HavocGlobals || B.HavocGlobals;
+  if (!J.HavocAll) {
+    J.Clobbered = *A.Clobbered;
+    for (const Region &R : B.Clobbered) {
+      if (std::find(J.Clobbered.begin(), J.Clobbered.end(), R) ==
+          J.Clobbered.end())
+        J.Clobbered.push_back(R);
+      if (J.Clobbered.size() > MaxClobbered) {
+        J.HavocAll = true;
+        J.Clobbered.clear();
+        break;
+      }
+    }
+  }
+  return J;
+}
+
+struct JoinTally {
+  unsigned Pairs = 0, Kept = 0;
+};
+
+/// join(A, B) equals the reference join, and its forest shares A's buffer
+/// exactly when B's forest equals A's and the reference self-join of A's
+/// forest is A's forest.
+void expectJoinMatchesReference(const MemModel &A, const MemModel &B,
+                                const std::string &Where, JoinTally &T) {
+  const MemSnap Want = refJoin(A, B);
+  const MemModel J = MemModel::join(A, B);
+  ++T.Pairs;
+  ASSERT_EQ(snap(J), Want) << Where;
+  EXPECT_EQ(J.digest(), rebuild(Want).digest()) << Where;
+  const bool Identity = *A.Forest == *B.Forest &&
+                        refJoinForests(*A.Forest, *A.Forest) == *A.Forest;
+  EXPECT_EQ(J.Forest.sharesWith(A.Forest), Identity) << Where;
+  T.Kept += Identity;
+}
+
+/// Plant a defect the self-join does not survive at depth Depth of F (or
+/// as deep as F reaches): an empty node, or a tree that shares a region
+/// with a sibling.
+void plant(std::vector<MemTree> &F, unsigned Depth, bool EmptyNode,
+           World &W) {
+  std::vector<MemTree> *Level = &F;
+  for (unsigned D = 0; D < Depth && !Level->empty(); ++D)
+    Level = &(*Level)[W.R.below(Level->size())].Children;
+  if (EmptyNode) {
+    Level->push_back(MemTree{{}, {}});
+    return;
+  }
+  Region Shared = W.region();
+  if (!Level->empty() && !Level->front().Node.empty())
+    Shared = W.R.pick(Level->front().Node);
+  else
+    Level->push_back(MemTree{{Shared}, {}});
+  Level->push_back(MemTree{{W.region(), Shared}, {}});
+}
+
+TEST(MemJoin, KeepsEqualForestOnRandomPairs) {
+  World W(0x10f7);
+  Pred P = Pred::entry(W.Ctx);
+  JoinTally T;
+  for (unsigned Round = 0; Round < 400; ++Round) {
+    const std::string Where = "round " + std::to_string(Round);
+    MemModel A = randomModel(W, P);
+    MemModel Shared = A;               // same buffers
+    MemModel Equal = rebuild(snap(A)); // equal contents, own buffers
+    Equal.noteWrite(W.region());
+    MemModel Other = randomModel(W, P);
+    MemModel Bigger = A;
+    Bigger.Forest.mut().push_back(MemTree{{W.region()}, {}});
+    for (const MemModel *B : {&Shared, &Equal, &Other, &Bigger}) {
+      expectJoinMatchesReference(A, *B, Where, T);
+      expectJoinMatchesReference(*B, A, Where, T);
+    }
+  }
+  EXPECT_GT(T.Kept, T.Pairs / 4);
+  EXPECT_LT(T.Kept, T.Pairs - T.Pairs / 4);
+}
+
+TEST(MemJoin, RebuildsForestsWhoseSelfJoinIsNotTheIdentity) {
+  World W(0x10f8);
+  Pred P = Pred::entry(W.Ctx);
+  Region R0{W.Rsp0, 8}, R1{W.Rdi0, 8}, R2{W.Ctx.mkAddK(W.Rdi0, 8), 8},
+      R3{W.Ctx.mkAddK(W.Rsp0, -16), 8};
+  auto Leaf = [](std::vector<Region> Node) {
+    return MemTree{std::move(Node), {}};
+  };
+  // Each defect at the top level and at depths 1 and 2.
+  const std::vector<std::pair<std::string, std::vector<MemTree>>> Cases = {
+      {"empty node", {Leaf({}), Leaf({R1})}},
+      {"empty child", {MemTree{{R0}, {Leaf({R1}), Leaf({})}}}},
+      {"empty grandchild",
+       {MemTree{{R0}, {MemTree{{R1}, {Leaf({})}}}}, Leaf({R3})}},
+      {"sharing siblings", {Leaf({R0, R1}), Leaf({R2, R1})}},
+      {"sharing children", {MemTree{{R0}, {Leaf({R1}), Leaf({R1, R2})}}}},
+      {"sharing grandchildren",
+       {Leaf({R3}), MemTree{{R0}, {MemTree{{R2}, {Leaf({R1}), Leaf({R1})}}}}}},
+  };
+  JoinTally T;
+  for (const auto &[Name, Forest] : Cases) {
+    ASSERT_NE(refJoinForests(Forest, Forest), Forest) << Name;
+    MemModel A;
+    A.Forest = Forest;
+    MemModel Shared = A, Equal = rebuild(snap(A));
+    expectJoinMatchesReference(A, Shared, Name, T);
+    expectJoinMatchesReference(A, Equal, Name, T);
+  }
+  // The same defects planted into random forests, at random depths.
+  for (unsigned Round = 0; Round < 300; ++Round) {
+    MemModel A = randomModel(W, P);
+    plant(A.Forest.mut(), static_cast<unsigned>(W.R.below(3)),
+          W.R.chance(1, 2), W);
+    MemModel Shared = A, Equal = rebuild(snap(A));
+    const std::string Where = "planted round " + std::to_string(Round);
+    expectJoinMatchesReference(A, Shared, Where, T);
+    expectJoinMatchesReference(A, Equal, Where, T);
+  }
+  EXPECT_EQ(T.Kept, 0u) << "no defective forest may be kept";
+}
+
+TEST(MemJoin, MatchesReferenceOnLiftedArrivals) {
+  std::vector<corpus::BuiltBinary> Bins;
+  for (auto BB : {corpus::branchLoopBinary(), corpus::jumpTableBinary(),
+                  corpus::callChainBinary(), corpus::maskedTableBinary()})
+    if (BB)
+      Bins.push_back(*BB);
+  for (uint64_t Seed : {3, 11}) {
+    corpus::GenOptions O;
+    O.Seed = Seed;
+    O.NumFuncs = 3;
+    O.ArgWritePct = 20;
+    if (auto BB = corpus::randomLibrary(O))
+      Bins.push_back(*BB);
+  }
+  ASSERT_GE(Bins.size(), 5u);
+
+  // Re-step every explored vertex of the final graph and join each
+  // successor into every vertex at its target, as Algorithm 1 does.
+  JoinTally T;
+  for (const corpus::BuiltBinary &BB : Bins) {
+    hg::BinaryResult R = BB.Img.Functions.empty()
+                             ? hg::Lifter(BB.Img, hg::LiftConfig()).liftBinary()
+                             : hg::Lifter(BB.Img, hg::LiftConfig()).liftLibrary();
+    for (hg::FunctionResult &F : R.Functions) {
+      ASSERT_TRUE(F.Arena);
+      for (const auto &[K, V] : F.Graph.Vertices) {
+        if (!V.Explored)
+          continue;
+        sem::StepOut Out = F.Arena->exec().step(V.State, V.Instr, F.RetSym);
+        for (const sem::Succ &S : Out.Succs)
+          for (auto It = F.Graph.Vertices.lower_bound(hg::VertexKey{S.NextAddr, 0});
+               It != F.Graph.Vertices.end() && It->first.Rip == S.NextAddr;
+               ++It)
+            expectJoinMatchesReference(It->second.State.M, S.S.M,
+                                       BB.Img.Name, T);
+      }
+    }
+  }
+  EXPECT_GT(T.Pairs, 500u);
+  EXPECT_GT(T.Kept, T.Pairs / 2) << "most arrivals bring the vertex's forest";
 }
 
 } // namespace

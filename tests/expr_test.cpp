@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 using namespace hglift;
 using expr::Expr;
@@ -144,6 +145,126 @@ TEST(Expr, FreshNamesSkipRegisteredNames) {
   EXPECT_EQ(Ctx.numVars(), 6u) << "one variable per distinct name";
   EXPECT_EQ(Ctx.mkVar(VarClass::Fresh, "hint#1"), F)
       << "mkVar of a fresh name is the same interned variable";
+}
+
+/// Minting through the name map and the intern table: each fresh name is
+/// the first Hint#N, N counting up, that no variable has, and is then
+/// registered like any other. The names are kept here; ids, nodes, hashes
+/// and counts come from a second context that only ever sees mkVar.
+struct RefMinter {
+  ExprContext Nodes;
+  std::set<std::string> Names;
+  uint64_t Counter = 0;
+
+  const Expr *var(VarClass Cls, const std::string &Name, unsigned Width) {
+    Names.insert(Name);
+    return Nodes.mkVar(Cls, Name, Width);
+  }
+  const Expr *fresh(const std::string &Hint, unsigned Width) {
+    std::string Name;
+    do
+      Name = Hint + "#" + std::to_string(Counter++);
+    while (Names.count(Name));
+    return var(VarClass::Fresh, Name, Width);
+  }
+};
+
+TEST(ExprProperty, FreshMintingMatchesMapReference) {
+  // Random interleavings of mkFresh, mkVar of names with and without '#'
+  // (minted ones among them) in every class, and counter rewinds and jumps.
+  const std::string Hints[] = {"j_rax", "mem", "a", "a#1", "x#"};
+  const unsigned Widths[] = {64, 32, 8, 1};
+  unsigned Minted = 0, Refound = 0, Skips = 0, Rewinds = 0;
+  for (uint64_t Seed : {1, 2, 3, 4}) {
+    ExprContext Ctx;
+    RefMinter Ref;
+    Rng R(0xf2e5 + Seed);
+    std::vector<std::pair<std::string, const Expr *>> Fresh; // name, node
+    for (unsigned Op = 0; Op < 1500; ++Op) {
+      const std::string Where =
+          "seed " + std::to_string(Seed) + " op " + std::to_string(Op);
+      const Expr *Got = nullptr, *Want = nullptr;
+      const uint64_t Before = Ref.Counter;
+      switch (R.below(8)) {
+      case 0:
+      case 1:
+      case 2: {
+        const std::string &Hint = Hints[R.below(std::size(Hints))];
+        unsigned W = Widths[R.below(std::size(Widths))];
+        Got = Ctx.mkFresh(Hint, W);
+        Want = Ref.fresh(Hint, W);
+        Fresh.emplace_back(Ctx.varInfo(Got->varId()).Name, Got);
+        Skips += Ref.Counter - Before - 1;
+        ++Minted;
+        break;
+      }
+      case 3: // a minted name, sometimes at another width
+        if (Fresh.empty())
+          continue;
+        {
+          const auto &[Name, Node] = R.pick(Fresh);
+          VarClass Cls = static_cast<VarClass>(R.below(6));
+          unsigned W = R.chance(3, 4) ? Node->width() : 64;
+          Got = Ctx.mkVar(Cls, Name, W);
+          Want = Ref.var(Cls, Name, W);
+          if (W == Node->width()) {
+            EXPECT_EQ(Got, Node) << Where << ": mkVar of " << Name;
+            ++Refound;
+          }
+        }
+        break;
+      case 4:
+      case 5: { // a '#' name near the counter: a later mint must skip it
+        std::string Name = Hints[R.below(std::size(Hints))] + "#" +
+                           std::to_string(Ref.Counter + R.below(6));
+        VarClass Cls = static_cast<VarClass>(R.below(6));
+        Got = Ctx.mkVar(Cls, Name, 64);
+        Want = Ref.var(Cls, Name, 64);
+        break;
+      }
+      case 6: { // a plain name
+        std::string Name = "v" + std::to_string(R.below(20));
+        VarClass Cls = static_cast<VarClass>(R.below(6));
+        Got = Ctx.mkVar(Cls, Name, 64);
+        Want = Ref.var(Cls, Name, 64);
+        break;
+      }
+      default: { // rewind or jump the counter
+        uint64_t C = R.chance(1, 2) ? Ref.Counter - std::min<uint64_t>(
+                                                        Ref.Counter, R.below(8))
+                                    : Ref.Counter + R.below(4);
+        Rewinds += C < Ref.Counter;
+        Ctx.setFreshCounter(C);
+        Ref.Counter = C;
+        EXPECT_EQ(Ctx.freshCounter(), C) << Where;
+        continue;
+      }
+      }
+      ASSERT_EQ(Got->varId(), Want->varId()) << Where;
+      EXPECT_EQ(Ctx.varInfo(Got->varId()).Name,
+                Ref.Nodes.varInfo(Want->varId()).Name)
+          << Where;
+      EXPECT_EQ(Ctx.varInfo(Got->varId()).Cls,
+                Ref.Nodes.varInfo(Want->varId()).Cls)
+          << Where;
+      EXPECT_EQ(Got->width(), Want->width()) << Where;
+      EXPECT_EQ(Got->hasFreshLeaf(), Want->hasFreshLeaf()) << Where;
+      ASSERT_EQ(Got->hashValue(), Want->hashValue()) << Where;
+      ASSERT_EQ(Ctx.freshCounter(), Ref.Counter) << Where;
+      ASSERT_EQ(Ctx.numVars(), Ref.Nodes.numVars()) << Where;
+      ASSERT_EQ(Ctx.numExprs(), Ref.Nodes.numExprs()) << Where;
+    }
+    // Minted nodes hash and compare like interned ones inside operators.
+    for (const auto &[Name, Node] : Fresh)
+      EXPECT_EQ(Ctx.mkAdd(Ctx.mkZExt(Node, 64), Ctx.mkConst(1, 64)),
+                Ctx.mkAdd(Ctx.mkConst(1, 64), Ctx.mkZExt(Node, 64)))
+          << Name;
+  }
+  // Every case must actually occur for the agreement to mean anything.
+  EXPECT_GT(Minted, 1000u);
+  EXPECT_GT(Refound, 200u);
+  EXPECT_GT(Skips, 50u);
+  EXPECT_GT(Rewinds, 50u);
 }
 
 TEST(Expr, TreeSizeAndFreshness) {
